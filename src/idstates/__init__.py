@@ -19,7 +19,6 @@ from .enumeration import (
     canonicalize,
     enumerate_states,
     n_distinct,
-    placements,
     state_count,
     state_from_matrix,
     state_matrix,
@@ -70,7 +69,6 @@ __all__ = [
     "n_distinct",
     "ordered_pair_probability",
     "parse_frequency_file",
-    "placements",
     "prevalence_experiment",
     "row_signature",
     "stabilizer_size",

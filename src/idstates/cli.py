@@ -18,9 +18,6 @@ Frequencies come from --freq (delimited file) or inline --p/--q
 (comma-separated values, decimals or "a/b"). Numeric mode is chosen
 automatically (rational when every value is an integer or "a/b" literal,
 float when any is a decimal) unless forced with --mode.
-
-IDSTATES_THREADS caps enumeration worker processes (0 = all cores,
-unset/1 = serial); results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -223,6 +220,13 @@ def cmd_oracle_check(config: RunConfig) -> tuple[str, int]:
         config.draw_size, config.n_objects, p, q, force=config.force
     )
     states = enumerate_states(config.draw_size, config.n_objects)
+    if config.perturb_state is not None and not (
+        0 <= config.perturb_state < len(states)
+    ):
+        raise ValueError(
+            f"--perturb {config.perturb_state} is outside the "
+            f"{len(states)} states (0..{len(states) - 1})"
+        )
     theory = [state_probability(s, p, q).value for s in states]
     if config.perturb_state is not None:
         # test hook: corrupt one closed-form value to prove mismatches surface
@@ -408,13 +412,13 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         output, code = run(config)
+        if config.output_path:
+            with open(config.output_path, "w", encoding="utf-8") as fh:
+                fh.write(output)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(output)
-    else:
+    if not config.output_path:
         sys.stdout.write(output)
     return code
 

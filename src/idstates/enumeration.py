@@ -7,16 +7,15 @@ whose (i, j) entry counts the columns equal to (i-1, j-1). Column
 relabeling leaves M unchanged and swapping the draws transposes it, so
 identity states correspond exactly to such matrices up to transpose.
 
-Enumeration walks candidate pairs directly:
-
- 1. top rows: one left-justified, nonincreasing placement per partition
-    of K (every pair can be column-permuted into this form, so nothing
-    is lost);
- 2. bottom rows: every placement of every partition of K in 2K slots
-    (2K slots suffice because a pair contains at most 2K distinct
-    objects);
- 3. each candidate pair is folded to its M matrix;
- 4. matrices are deduplicated up to transpose.
+Enumeration builds these matrices directly. Cell (a, b) counts the
+columns with top entry a and bottom entry b. A recursion over the cells
+other than (0, 0) carries the remaining top and bottom budgets; each step
+picks the next nonzero cell and its count. Cells (1, 0) and (0, 1) come
+last and take whatever budget is left, so no branch dead-ends and every
+node is a valid matrix with sum(a * M_ab) = sum(b * M_ab) = K. The number of
+nonzero columns is at most 2K (each adds at least 1 to the 2K total of
+both rows), and M_00 = 2K - (nonzero columns) pads the catalog to I = 2K.
+Of a matrix and its transpose only the canonical one is kept.
 
 States for I < 2K are the subset whose pairs fit in I columns; for
 I > 2K the catalog is the same as at 2K with extra all-zero columns.
@@ -27,9 +26,6 @@ its transpose; catalogs are emitted sorted by that flattened form.
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -146,40 +142,6 @@ def unordered_partitions(total: int) -> list[tuple[int, ...]]:
     return out
 
 
-def placements(partition, slots: int) -> list[tuple[int, ...]]:
-    """All distinct length-`slots` vectors using the partition's entries.
-
-    Each result places the partition's values (in some order) into the
-    slots and fills the rest with zeros; duplicates from repeated values
-    appear once. Emitted in lexicographically decreasing order.
-    """
-    partition = tuple(partition)
-    if len(partition) > slots:
-        raise ValueError(
-            f"partition has {len(partition)} parts but only {slots} slots"
-        )
-    counts = Counter(partition)
-    counts[0] += slots - len(partition)
-    distinct = sorted(counts, reverse=True)
-    out: list[tuple[int, ...]] = []
-    buf: list[int] = []
-
-    def rec(depth: int):
-        if depth == slots:
-            out.append(tuple(buf))
-            return
-        for v in distinct:
-            if counts[v]:
-                counts[v] -= 1
-                buf.append(v)
-                rec(depth + 1)
-                buf.pop()
-                counts[v] += 1
-
-    rec(0)
-    return out
-
-
 def state_matrix(pair: PairMatrix) -> StateMatrix:
     """Fold a pair into its column-type count matrix.
 
@@ -204,72 +166,43 @@ def n_distinct(pair: PairMatrix) -> int:
     return sum(1 for top, bottom in pair.columns if top or bottom)
 
 
-def _row1_candidates(draw_size: int) -> list[tuple[int, ...]]:
-    # One placement per partition: nonincreasing, left-justified. Any pair
-    # can be column-permuted into this form, so the catalog is complete.
-    span = 2 * draw_size
-    return [
-        part + (0,) * (span - len(part)) for part in unordered_partitions(draw_size)
-    ]
-
-
-def _row2_candidates(draw_size: int) -> list[tuple[int, ...]]:
-    span = 2 * draw_size
-    return [
-        pl for part in unordered_partitions(draw_size) for pl in placements(part, span)
-    ]
-
-
-def _keys_for_row1(args: tuple[int, tuple[int, ...]]) -> set[tuple[int, ...]]:
-    """Canonical flattened matrices for one fixed top row (worker unit)."""
-    draw_size, row1 = args
-    side = draw_size + 1
-    cells = side * side
-    t_idx = [(pos % side) * side + pos // side for pos in range(cells)]
-    offsets = [v * side for v in row1]
-    seen: set[tuple[int, ...]] = set()
-    for row2 in _row2_candidates(draw_size):
-        m = [0] * cells
-        for off, v in zip(offsets, row2):
-            m[off + v] += 1
-        flat = tuple(m)
-        flipped = tuple(map(flat.__getitem__, t_idx))
-        seen.add(flat if flat <= flipped else flipped)
-    return seen
-
-
-def _worker_count() -> int:
-    """Worker cap from IDSTATES_THREADS (unset/1 = serial, 0 = all cores)."""
-    raw = os.environ.get("IDSTATES_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"IDSTATES_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ValueError("IDSTATES_THREADS must be >= 0")
-    return n if n else (os.cpu_count() or 1)
-
-
 @lru_cache(maxsize=None)
 def _canonical_flat_keys(draw_size: int) -> tuple[tuple[int, ...], ...]:
     """Sorted flattened canonical matrices at I = 2K (the full catalog).
 
-    The result is independent of the worker count: partial key sets are
-    merged with set union and sorted once at the end.
+    Every node of the cell recursion (module docstring) is one matrix;
+    of M and its transpose only the flattening-smaller one is kept.
     """
-    work = [(draw_size, row1) for row1 in _row1_candidates(draw_size)]
-    workers = min(_worker_count(), len(work))
-    if workers > 1:
-        try:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-                chunks = list(ex.map(_keys_for_row1, work))
-        except OSError:
-            chunks = [_keys_for_row1(item) for item in work]
-    else:
-        chunks = [_keys_for_row1(item) for item in work]
-    return tuple(sorted(set().union(*chunks)))
+    side = draw_size + 1
+    span = 2 * draw_size
+    # (1, 0) and (0, 1) take the leftover budgets at each node instead
+    cells = [(a, b) for a in range(side) for b in range(side) if a + b >= 2]
+    t_idx = [(pos % side) * side + pos // side for pos in range(side * side)]
+    m = [0] * (side * side)
+    keys: list[tuple[int, ...]] = []
+
+    def rec(start: int, top: int, bottom: int, used: int):
+        m[side] = top
+        m[1] = bottom
+        m[0] = span - used - top - bottom
+        flat = tuple(m)
+        if flat <= tuple(map(flat.__getitem__, t_idx)):
+            keys.append(flat)
+        for idx in range(start, len(cells)):
+            a, b = cells[idx]
+            if a > top or b > bottom:
+                continue
+            pos = a * side + b
+            count = 1
+            while count * a <= top and count * b <= bottom:
+                m[pos] = count
+                rec(idx + 1, top - count * a, bottom - count * b, used + count)
+                count += 1
+            m[pos] = 0
+
+    rec(0, draw_size, draw_size, 0)
+    keys.sort()
+    return tuple(keys)
 
 
 def _unflatten(flat: tuple[int, ...], side: int) -> StateMatrix:

@@ -120,7 +120,7 @@ def prevalence_experiment(
     """Estimate how often within-dissimilarity exceeds between for random p, q.
 
     Each trial draws independent p and q from a symmetric Dirichlet with
-    the given concentration and tests <p, p> > <p, q>. Returns the
+    the given concentration and tests <p, q> > <p, p>. Returns the
     fraction of trials where it holds; reproducible per seed.
     """
     if n_objects < 2:

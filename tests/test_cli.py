@@ -117,6 +117,18 @@ def test_oracle_check_perturbation_fails(capsys):
     assert len(failing) == 1 and failing[0].startswith("1\t")
 
 
+def test_oracle_check_perturb_out_of_range(capsys):
+    # K=2, I=3 has 6 states: valid indices are 0..5
+    for index in ("99", "6", "-1"):
+        code, out, err = run_cli(
+            capsys, "oracle-check", "--k", "2", "--i", "3",
+            "--p", "1/3,1/3,1/3", "--perturb", index,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 def test_simulate_runs(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--k", "2", "--i", "4",
@@ -170,6 +182,15 @@ def test_output_file(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     assert "states=7" in out_path.read_text()
+
+
+def test_output_file_unwritable(capsys, tmp_path):
+    missing = tmp_path / "no-such-dir" / "table.txt"
+    code, out, err = run_cli(
+        capsys, "enumerate", "--k", "2", "--i", "3", "--out", str(missing)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_byte_identical_reruns(capsys):

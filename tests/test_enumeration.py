@@ -1,6 +1,5 @@
-"""State enumeration: partitions, placements, canonical forms, catalogs."""
+"""State enumeration: partitions, canonical forms, catalogs."""
 
-import itertools
 import random
 
 import pytest
@@ -12,7 +11,6 @@ from idstates import (
     canonicalize,
     enumerate_states,
     n_distinct,
-    placements,
     row_signature,
     stabilizer_size,
     state_count,
@@ -60,27 +58,6 @@ def test_partitions_shape_and_order():
 def test_partitions_reject_nonpositive():
     with pytest.raises(ValueError):
         unordered_partitions(0)
-
-
-def test_placements_examples():
-    assert placements((2,), 2) == [(2, 0), (0, 2)]
-    assert placements((1, 1), 3) == [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
-    got = placements((2, 1), 4)
-    # oracle: deduplicated permutations of the zero-padded value multiset
-    want = set(itertools.permutations((2, 1, 0, 0)))
-    assert len(got) == len(want) == 12
-    assert set(got) == want
-
-
-def test_placements_order_and_uniqueness():
-    for part in [(3,), (2, 2), (2, 1, 1), (1, 1, 1)]:
-        got = placements(part, 6)
-        assert got == sorted(set(got), reverse=True)
-
-
-def test_placements_reject_too_long():
-    with pytest.raises(ValueError):
-        placements((1, 1, 1), 2)
 
 
 def test_state_matrix_known_cases():
@@ -132,6 +109,17 @@ def test_catalog_counts():
     assert state_count(2, 4) == 7
     assert state_count(3, 6) == 21
     assert state_count(4, 5) == 57
+
+
+def test_catalog_counts_beyond_paper_grid():
+    from idstates import enumeration
+
+    enumeration._canonical_flat_keys.cache_clear()
+    try:
+        assert state_count(7, 14) == 1579
+        assert state_count(8, 16) == 4348
+    finally:
+        enumeration._canonical_flat_keys.cache_clear()
 
 
 def test_catalog_rejects_bad_sizes():
@@ -198,19 +186,17 @@ def test_padding_beyond_plateau_keeps_catalog():
 
 
 def _full_matrix_set(k):
-    """Matrices from ALL pair candidates (no top-row reduction)."""
-    span = 2 * k
-    rows = [
-        pl for part in unordered_partitions(k) for pl in placements(part, span)
-    ]
+    """Matrices of every pair of count vectors of K in 2K slots."""
+    rows = list(compositions(k, 2 * k))
+    # the sorted column list fixes the matrix; fold one pair per list
+    pairs = {tuple(sorted(zip(r1, r2))): (r1, r2) for r1 in rows for r2 in rows}
     return {
         state_matrix(PairMatrix(DrawVector(r1), DrawVector(r2)))
-        for r1 in rows
-        for r2 in rows
+        for r1, r2 in pairs.values()
     }
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_reduction_matches_unreduced_enumeration(k):
     full = _full_matrix_set(k)
     canonical = {canonicalize(m) for m in full}
@@ -272,29 +258,3 @@ def test_state_matrix_validation():
     with pytest.raises(ValueError):
         StateMatrix(((3, -1, 1), (0, 0, 0), (1, 0, 0)))
 
-
-def test_worker_env_parallel_matches_serial(monkeypatch):
-    from idstates import enumeration
-
-    serial = enumerate_states(3, 6)
-    monkeypatch.setenv("IDSTATES_THREADS", "2")
-    enumeration._canonical_flat_keys.cache_clear()
-    try:
-        parallel = enumerate_states(3, 6)
-    finally:
-        monkeypatch.delenv("IDSTATES_THREADS")
-        enumeration._canonical_flat_keys.cache_clear()
-    assert parallel == serial
-
-
-def test_worker_env_validation(monkeypatch):
-    from idstates.enumeration import _worker_count
-
-    monkeypatch.setenv("IDSTATES_THREADS", "junk")
-    with pytest.raises(ValueError):
-        _worker_count()
-    monkeypatch.setenv("IDSTATES_THREADS", "-1")
-    with pytest.raises(ValueError):
-        _worker_count()
-    monkeypatch.setenv("IDSTATES_THREADS", "0")
-    assert _worker_count() >= 1
