@@ -40,8 +40,8 @@ from .probability import (
     ordered_pair_probability,
     row_signature,
     stabilizer_size,
+    state_distribution,
     state_probability,
-    state_probability_same,
 )
 from .serialize import parse_frequency_file
 
@@ -74,8 +74,8 @@ __all__ = [
     "stabilizer_size",
     "state_count",
     "state_from_matrix",
+    "state_distribution",
     "state_matrix",
     "state_probability",
-    "state_probability_same",
     "unordered_partitions",
 ]

@@ -25,7 +25,8 @@ import numpy as np
 
 from .core import inner_product
 from .enumeration import enumerate_states
-from .probability import state_probability
+# state_probability is unused here but stays importable: bench/trace_child.py wraps it
+from .probability import state_distribution, state_probability  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -61,11 +62,10 @@ def expected_dissimilarity_via_states(draw_size: int, p, q):
     Sums D(state) * P[state] over all states for the given draw size.
     Agrees with expected_dissimilarity(p, q) exactly in rational mode.
     """
-    if len(p) != len(q):
-        raise ValueError(f"frequency length mismatch: {len(p)} vs {len(q)}")
+    dist = state_distribution(draw_size, p, q)
     total = 0
     for state in enumerate_states(draw_size, len(p)):
-        prob = state_probability(state, p, q).value
+        prob = dist.get(state.canonical_matrix)
         if prob:
             total += state.dissimilarity.value * prob
     return total

@@ -2,8 +2,24 @@
 
 The first draw samples K objects with replacement using frequencies p,
 the second using q. The probability of an identity state sums the
-probabilities of every labeled pair in its equivalence class. Collapsing
-the class structure gives a closed form per state:
+probabilities of every labeled pair in its equivalence class.
+
+Production path, state_distribution: one pass over the objects gives
+every state at once. Each object i becomes one column (a, b) of the pair,
+a of its K top items and b of its K bottom items, and contributes
+p_i^a q_i^b. The orderings of the two draws add multinomial factors,
+built up one object at a time: with `top` and `bottom` items already
+placed, the column (a, b) multiplies by C(top + a, a) * C(bottom + b, b).
+So the objects fold into a table keyed by the partial column-type matrix
+and the budgets used; at the end the nodes with both budgets at K are the
+state matrices M, with M_00 = I - (nonzero columns), and M and its
+transpose merge into one state. In exact mode p and q are integer
+numerators over their lcm denominators D_p and D_q, the fold runs on
+Python ints, and one division by D_p^K * D_q^K ends it. Float mode runs
+the same fold on floats.
+
+Reference path, state_probability: the paper's closed form, one state at
+a time,
 
     P[state] = m(g1) * m(g2) / ((1 + swap_fixed) * stabilizer)
                * sum over injective index tuples (i_1..i_N) of
@@ -18,12 +34,13 @@ representative. swap_fixed is 1 exactly when some relabeling turns
 two draw orders relabel onto the same pairs and the sum double-counts.
 Rows merely sharing a partition of K is not enough: (2,1,0)/(1,0,2) has
 no single relabeling swapping its rows, and its class sum needs both
-orientations at full weight.
+orientations at full weight. Its cost is a falling factorial in I, so it
+serves as a cross-check on small inputs.
 
 Two numeric modes: exact rationals (Fraction entries; all identities hold
-bit-exactly) and floats. Two independent oracles check the closed form:
-an exhaustive iteration over all ordered outcome pairs, and a seeded
-Monte Carlo sampler.
+bit-exactly) and floats. Two independent oracles check both paths: an
+exhaustive iteration over all ordered outcome pairs, and a seeded Monte
+Carlo sampler.
 """
 
 from __future__ import annotations
@@ -36,7 +53,13 @@ from fractions import Fraction
 import numpy as np
 
 from .core import DrawVector, PairMatrix
-from .enumeration import IdentityState, StateMatrix, canonicalize, state_matrix
+from .enumeration import (
+    IdentityState,
+    StateMatrix,
+    _unflatten,
+    canonicalize,
+    state_matrix,
+)
 
 _EXACT_TYPES = (int, Fraction)
 
@@ -224,28 +247,6 @@ def _injective_pair_sum(p, q, exp1, exp2, one):
     return total
 
 
-def _injective_single_sum(p, exps, one):
-    n = len(exps)
-    slots = len(p)
-    total = one - one
-
-    def rec(depth, mask, prod):
-        nonlocal total
-        if depth == n:
-            total += prod
-            return
-        e = exps[depth]
-        for i in range(slots):
-            if mask >> i & 1:
-                continue
-            nxt = prod * p[i] ** e
-            if nxt:
-                rec(depth + 1, mask | 1 << i, nxt)
-
-    rec(0, 0, one)
-    return total
-
-
 def _state_exponents(state: IdentityState):
     n = state.n_distinct
     return (
@@ -261,7 +262,8 @@ def state_probability(state: IdentityState, p, q) -> StateProbability:
     objects than p provides has probability zero (empty injective sum),
     not an error. Cost grows as the falling factorial I * (I-1) * ...
     over the state's distinct-object count (zero entries prune early),
-    so keep I small for large draw sizes.
+    so keep I small for large draw sizes. This is the paper's closed
+    form, kept as the reference for state_distribution.
     """
     _check_freqs(p, q)
     exact = _is_exact(p) and _is_exact(q)
@@ -278,30 +280,6 @@ def state_probability(state: IdentityState, p, q) -> StateProbability:
         value = Fraction(weight, divisor) * total
     else:
         value = weight / divisor * total
-    return StateProbability(state, value)
-
-
-def state_probability_same(state: IdentityState, p) -> StateProbability:
-    """Probability of the state when both draws use frequencies p.
-
-    Simplified single-product form; agrees exactly with
-    state_probability(state, p, p).
-    """
-    exact = _is_exact(p)
-    zero = Fraction(0) if exact else 0.0
-    if state.n_distinct > len(p):
-        return StateProbability(state, zero)
-    exp1, exp2 = _state_exponents(state)
-    k = state.representative.draw_size
-    weight = multinomial(k, exp1) * multinomial(k, exp2)
-    divisor = (1 + state.is_symmetric) * state.stabilizer_size
-    one = Fraction(1) if exact else 1.0
-    combined = tuple(a + b for a, b in zip(exp1, exp2))
-    total = _injective_single_sum(tuple(p), combined, one)
-    if exact:
-        value = Fraction(2 * weight, divisor) * total
-    else:
-        value = 2 * weight / divisor * total
     return StateProbability(state, value)
 
 
@@ -358,6 +336,104 @@ def brute_force_state_distribution(
     return {key: math.fsum(terms) for key, terms in dist.items()}
 
 
+def state_distribution(draw_size: int, p, q) -> dict[StateMatrix, object]:
+    """Probability of every identity state in one pass over the objects.
+
+    Folds the objects in one at a time (module docstring). Returns the
+    states of nonzero probability, keyed by canonical matrix with
+    M_00 = len(p) - (nonzero columns), sorted by flattened matrix. Exact,
+    summing to exactly 1, when both vectors are exact; floats otherwise.
+    """
+    _check_freqs(p, q)
+    if draw_size < 1:
+        raise ValueError(f"draw size must be >= 1, got {draw_size}")
+    k = draw_size
+    side = k + 1
+    exact = _is_exact(p) and _is_exact(q)
+    if exact:
+        p = [Fraction(v) for v in p]
+        q = [Fraction(v) for v in q]
+        den_p = math.lcm(*(v.denominator for v in p))
+        den_q = math.lcm(*(v.denominator for v in q))
+        p = [v.numerator * (den_p // v.denominator) for v in p]
+        q = [v.numerator * (den_q // v.denominator) for v in q]
+    else:
+        p = [float(v) for v in p]
+        q = [float(v) for v in q]
+    binom = [[math.comb(n, r) for r in range(side)] for n in range(side)]
+    # A partial matrix is one int: digit a * side + b, in radix side,
+    # counts the columns (a, b). No cell count exceeds K.
+    moves = [
+        (a, b, side ** (a * side + b))
+        for a in range(side)
+        for b in range(side)
+        if a or b
+    ]
+    # (top, bottom) budgets used -> {partial matrix: weight}
+    layers: dict[tuple[int, int], dict[int, object]] = {(0, 0): {0: 1}}
+    for pi, qi in zip(p, q):
+        p_pow = [pi**a for a in range(side)]
+        q_pow = [qi**b for b in range(side)]
+        # Visit layers fullest first: every move writes to a layer with a
+        # larger top + bottom, already read, so one object adds one column.
+        for top, bottom in sorted(layers, key=sum, reverse=True):
+            source = layers[top, bottom]
+            for a, b, step in moves:
+                if top + a > k or bottom + b > k:
+                    continue
+                factor = (binom[top + a][a] * binom[bottom + b][b]
+                          * p_pow[a] * q_pow[b])
+                if not factor:
+                    continue
+                target = layers.setdefault((top + a, bottom + b), {})
+                for key, weight in source.items():
+                    key += step
+                    target[key] = target.get(key, 0) + weight * factor
+    t_idx = [(pos % side) * side + pos // side for pos in range(side * side)]
+    merged: dict[tuple[int, ...], object] = {}
+    for key, weight in layers.get((k, k), {}).items():
+        flat = [0] * (side * side)
+        for pos in range(side * side):
+            key, flat[pos] = divmod(key, side)
+        flat[0] = len(p) - sum(flat)
+        flat = min(tuple(flat), tuple(map(flat.__getitem__, t_idx)))
+        merged[flat] = merged.get(flat, 0) + weight
+    scale = den_p**k * den_q**k if exact else 1
+    return {
+        _unflatten(flat, side): Fraction(weight, scale) if exact else weight
+        for flat, weight in sorted(merged.items())
+    }
+
+
+def _distinct_rows(draws: np.ndarray, radix: int):
+    """Index the distinct rows of a count matrix whose entries are < radix.
+
+    Returns (first row of each distinct row, each row's distinct index).
+    Rows are coded as mixed-radix int64, a chunk of columns at a time;
+    before the code could pass 2^63 - 1 it is replaced by its index among
+    the distinct codes so far.
+    """
+    limit = int(np.iinfo(np.int64).max)
+    code = np.zeros(len(draws), dtype=np.int64)
+    bound = 1  # every code is below bound
+    start = 0
+    while start < draws.shape[1]:
+        width = 0
+        while (start + width < draws.shape[1]
+               and bound * radix ** (width + 1) <= limit):
+            width += 1
+        if not width:
+            _, code = np.unique(code, return_inverse=True)
+            bound = int(code.max()) + 1
+            continue
+        digits = radix ** np.arange(width, dtype=np.int64)
+        code = code * radix**width + draws[:, start : start + width] @ digits
+        bound *= radix**width
+        start += width
+    _, first, index = np.unique(code, return_index=True, return_inverse=True)
+    return first, index
+
+
 def monte_carlo_state_distribution(
     draw_size: int, n_objects: int, p, q, n_samples: int, seed: int
 ) -> dict[StateMatrix, Fraction]:
@@ -365,9 +441,9 @@ def monte_carlo_state_distribution(
 
     Each sample draws K objects from p and K from q (as multinomial count
     vectors via numpy's PCG64 generator) and classifies the pair by
-    canonical state matrix. Frequencies are exact counts over n_samples,
-    so they sum to exactly 1. Reproducible for a fixed (seed, numpy
-    version).
+    canonical state matrix, once per distinct pair. Frequencies are exact
+    counts over n_samples, so they sum to exactly 1. Reproducible for a
+    fixed (seed, numpy version).
     """
     _check_freqs(p, q)
     if len(p) != n_objects:
@@ -379,13 +455,20 @@ def monte_carlo_state_distribution(
     qf = np.asarray([float(v) for v in q])
     draws1 = rng.multinomial(draw_size, pf / pf.sum(), size=n_samples)
     draws2 = rng.multinomial(draw_size, qf / qf.sum(), size=n_samples)
-    pairs, counts = np.unique(
-        np.hstack([draws1, draws2]), axis=0, return_counts=True
-    )
+    first1, index1 = _distinct_rows(draws1, draw_size + 1)
+    first2, index2 = _distinct_rows(draws2, draw_size + 1)
+    n2 = len(first2)
+    pairs = index1 * n2 + index2
+    if len(first1) * n2 <= n_samples:
+        counts = np.bincount(pairs)
+        codes = np.flatnonzero(counts)
+        counts = counts[codes]
+    else:  # too many possible pairs for one bin each
+        codes, counts = np.unique(pairs, return_counts=True)
     freq: dict[StateMatrix, Fraction] = {}
-    for row, count in zip(pairs, counts):
-        g1 = tuple(int(v) for v in row[:n_objects])
-        g2 = tuple(int(v) for v in row[n_objects:])
+    for code, count in zip(codes.tolist(), counts.tolist()):
+        g1 = tuple(draws1[first1[code // n2]].tolist())
+        g2 = tuple(draws2[first2[code % n2]].tolist())
         key = canonicalize(state_matrix(PairMatrix(DrawVector(g1), DrawVector(g2))))
-        freq[key] = freq.get(key, Fraction(0)) + Fraction(int(count), n_samples)
+        freq[key] = freq.get(key, Fraction(0)) + Fraction(count, n_samples)
     return freq

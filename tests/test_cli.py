@@ -1,7 +1,9 @@
 """CLI behavior: commands, formats, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 
+import idstates.cli as cli
 from idstates.cli import main
 from idstates.serialize import parse_state_records
 
@@ -115,6 +117,24 @@ def test_oracle_check_perturbation_fails(capsys):
     assert code == 2
     failing = [ln for ln in out.splitlines() if "\tFAIL\t" in ln]
     assert len(failing) == 1 and failing[0].startswith("1\t")
+
+
+def test_oracle_check_flags_one_pass_mismatch(capsys, monkeypatch):
+    real = cli.state_distribution
+
+    def corrupted(draw_size, p, q):
+        dist = real(draw_size, p, q)
+        first = next(iter(dist))
+        dist[first] += Fraction(1, 1000)
+        return dist
+
+    monkeypatch.setattr(cli, "state_distribution", corrupted)
+    code, out, _ = run_cli(
+        capsys, "oracle-check", "--k", "2", "--i", "2", "--p", "1/2,1/2",
+    )
+    assert code == 2
+    failing = [ln for ln in out.splitlines() if "\tFAIL\t" in ln]
+    assert len(failing) == 1 and "\tstate_distribution=" in failing[0]
 
 
 def test_oracle_check_perturb_out_of_range(capsys):

@@ -5,7 +5,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idstates import (
     DrawVector,
@@ -18,9 +21,10 @@ from idstates import (
     ordered_pair_probability,
     row_signature,
     stabilizer_size,
+    state_distribution,
     state_probability,
-    state_probability_same,
 )
+from idstates.enumeration import canonicalize, state_matrix
 
 from conftest import (
     canonical_key,
@@ -193,7 +197,7 @@ def test_state_probabilities_sum_to_one():
         assert sum(state_probability(s, p, q).value for s in states) == 1
 
 
-def test_state_probability_same_matches_general():
+def test_state_distribution_same_population_matches_closed_form():
     rng = random.Random(123)
     for k, i in [(2, 4), (3, 4)]:
         states = enumerate_states(k, i)
@@ -202,30 +206,33 @@ def test_state_probability_same_matches_general():
             random_rational_vector(rng, i, force_zeros=2),
             FrequencyVector.uniform(i).entries,
         ]:
+            dist = state_distribution(k, vec, vec)
             for s in states:
                 assert (
-                    state_probability_same(s, vec).value
+                    dist.get(s.canonical_matrix, 0)
                     == state_probability(s, vec, vec).value
                 )
 
 
-def test_state_probability_same_mixed_pair_example():
+def test_state_distribution_same_population_mixed_pair_example():
     # single-kind vs two-kind pair under a uniform pair of frequencies:
     # outcome enumeration over the 16 ordered pairs gives 1/2
     oracle = brute_force_state_distribution(2, 2, (HALF, HALF), (HALF, HALF))
     key = canonical_key((2, 0), (1, 1))
     assert oracle[key] == Fraction(1, 2)
     state = find_state(enumerate_states(2, 2), (2, 0), (1, 1))
-    assert state_probability_same(state, (HALF, HALF)).value == Fraction(1, 2)
+    dist = state_distribution(2, (HALF, HALF), (HALF, HALF))
+    assert dist[state.canonical_matrix] == Fraction(1, 2)
 
 
 def test_state_probability_empty_support_is_zero():
     states = enumerate_states(2, 4)
     p = (Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(0))
+    dist = state_distribution(2, p, p)
     for s in states:
         if s.n_distinct > 2:
             assert state_probability(s, p, p).value == 0
-            assert state_probability_same(s, p).value == 0
+            assert s.canonical_matrix not in dist
     # shorter frequency vectors than the catalog's object count: empty sum
     four = find_state(states, (1, 1, 0, 0), (0, 0, 1, 1))
     assert state_probability(four, (HALF, HALF), (HALF, HALF)).value == 0
@@ -403,3 +410,84 @@ def test_monte_carlo_validation():
     u = FrequencyVector.uniform(2)
     with pytest.raises(ValueError):
         monte_carlo_state_distribution(2, 2, u, u, n_samples=0, seed=1)
+
+
+def unique_rows_reference(draw_size, n_objects, p, q, n_samples, seed):
+    """Monte Carlo classifier by np.unique over whole sample rows.
+
+    Draws exactly as monte_carlo_state_distribution does, then counts each
+    distinct (draw1, draw2) row of the stacked samples.
+    """
+    rng = np.random.default_rng(seed)
+    pf = np.asarray([float(v) for v in p])
+    qf = np.asarray([float(v) for v in q])
+    draws1 = rng.multinomial(draw_size, pf / pf.sum(), size=n_samples)
+    draws2 = rng.multinomial(draw_size, qf / qf.sum(), size=n_samples)
+    rows, counts = np.unique(np.hstack([draws1, draws2]), axis=0, return_counts=True)
+    freq = {}
+    for row, count in zip(rows, counts):
+        g1 = tuple(int(v) for v in row[:n_objects])
+        g2 = tuple(int(v) for v in row[n_objects:])
+        key = canonicalize(state_matrix(PairMatrix(DrawVector(g1), DrawVector(g2))))
+        freq[key] = freq.get(key, Fraction(0)) + Fraction(int(count), n_samples)
+    return freq
+
+
+def test_monte_carlo_matches_unique_rows_reference():
+    # at K=2, I=48 the row codes (radix 3) would pass 2^63, so they are
+    # re-indexed partway through each row
+    rng = random.Random(61)
+    for k, i, n_samples in [(2, 4, 3000), (3, 6, 3000), (2, 48, 400)]:
+        p = random_rational_vector(rng, i, force_zeros=i // 4)
+        q = FrequencyVector.uniform(i)
+        for seed in (0, 5, 2026):
+            got = monte_carlo_state_distribution(k, i, p, q, n_samples, seed)
+            want = unique_rows_reference(k, i, p, q, n_samples, seed)
+            assert got == want
+
+
+def test_state_distribution_argument_checks():
+    with pytest.raises(ValueError):
+        state_distribution(2, (HALF, HALF), (HALF, HALF, Fraction(0)))
+    with pytest.raises(ValueError):
+        state_distribution(0, (HALF, HALF), (HALF, HALF))
+
+
+def test_state_distribution_beyond_closed_form_reach():
+    # K=6 over 12 objects: out of reach of the per-state injective sums
+    rng = random.Random(66)
+    p = random_rational_vector(rng, 12, force_zeros=3)
+    q = random_rational_vector(rng, 12)
+    dist = state_distribution(6, p, q)
+    assert sum(dist.values()) == 1
+    assert set(dist) <= {s.canonical_matrix for s in enumerate_states(6, 12)}
+
+
+@st.composite
+def rational_case(draw):
+    """(K, I, p, q) with K <= 3, I <= 5, zero entries allowed, p = q at times."""
+    k = draw(st.integers(1, 3))
+    i = draw(st.integers(1, 5))
+    weights = st.lists(st.integers(0, 6), min_size=i, max_size=i).filter(any)
+    p = draw(weights)
+    q = p if draw(st.booleans()) else draw(weights)
+    return (k, i, tuple(Fraction(w, sum(p)) for w in p),
+            tuple(Fraction(w, sum(q)) for w in q))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(rational_case())
+def test_state_distribution_matches_closed_form_and_oracle(case):
+    k, i, p, q = case
+    dist = state_distribution(k, p, q)
+    closed = {}
+    for s in enumerate_states(k, i):
+        value = state_probability(s, p, q).value
+        if value:
+            closed[s.canonical_matrix] = value
+    assert dist == closed == brute_force_state_distribution(k, i, p, q)
+    assert sum(dist.values()) == 1
+    floats = state_distribution(k, [float(v) for v in p], [float(v) for v in q])
+    assert floats.keys() == dist.keys()
+    for m, value in dist.items():
+        assert abs(floats[m] - value) <= 1e-12
