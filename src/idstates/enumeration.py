@@ -157,8 +157,22 @@ def state_matrix(pair: PairMatrix) -> StateMatrix:
 
 def canonicalize(m: StateMatrix) -> StateMatrix:
     """Canonical form under transpose: the flattening-smaller of m, m^T."""
-    t = m.transpose()
-    return m if m.flattened <= t.flattened else t
+    return canonical_from_flat(m.flattened, len(m.entries))
+
+
+@lru_cache(maxsize=None)
+def _transpose_index(side: int) -> tuple[int, ...]:
+    """Positions that read a row-major flattened matrix as its transpose."""
+    return tuple((pos % side) * side + pos // side for pos in range(side * side))
+
+
+def _canonical_flat(flat: tuple[int, ...], side: int) -> tuple[int, ...]:
+    return min(flat, tuple(map(flat.__getitem__, _transpose_index(side))))
+
+
+def canonical_from_flat(flat: tuple[int, ...], side: int) -> StateMatrix:
+    """Canonical StateMatrix of a row-major flattened side x side matrix."""
+    return _unflatten(_canonical_flat(flat, side), side)
 
 
 def n_distinct(pair: PairMatrix) -> int:
@@ -177,7 +191,6 @@ def _canonical_flat_keys(draw_size: int) -> tuple[tuple[int, ...], ...]:
     span = 2 * draw_size
     # (1, 0) and (0, 1) take the leftover budgets at each node instead
     cells = [(a, b) for a in range(side) for b in range(side) if a + b >= 2]
-    t_idx = [(pos % side) * side + pos // side for pos in range(side * side)]
     m = [0] * (side * side)
     keys: list[tuple[int, ...]] = []
 
@@ -186,7 +199,7 @@ def _canonical_flat_keys(draw_size: int) -> tuple[tuple[int, ...], ...]:
         m[1] = bottom
         m[0] = span - used - top - bottom
         flat = tuple(m)
-        if flat <= tuple(map(flat.__getitem__, t_idx)):
+        if _canonical_flat(flat, side) == flat:
             keys.append(flat)
         for idx in range(start, len(cells)):
             a, b = cells[idx]

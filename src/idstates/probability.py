@@ -56,7 +56,7 @@ from .core import DrawVector, PairMatrix
 from .enumeration import (
     IdentityState,
     StateMatrix,
-    _unflatten,
+    canonical_from_flat,
     canonicalize,
     state_matrix,
 )
@@ -389,19 +389,18 @@ def state_distribution(draw_size: int, p, q) -> dict[StateMatrix, object]:
                 for key, weight in source.items():
                     key += step
                     target[key] = target.get(key, 0) + weight * factor
-    t_idx = [(pos % side) * side + pos // side for pos in range(side * side)]
-    merged: dict[tuple[int, ...], object] = {}
+    merged: dict[StateMatrix, object] = {}
     for key, weight in layers.get((k, k), {}).items():
         flat = [0] * (side * side)
         for pos in range(side * side):
             key, flat[pos] = divmod(key, side)
         flat[0] = len(p) - sum(flat)
-        flat = min(tuple(flat), tuple(map(flat.__getitem__, t_idx)))
-        merged[flat] = merged.get(flat, 0) + weight
+        state = canonical_from_flat(tuple(flat), side)
+        merged[state] = merged.get(state, 0) + weight
     scale = den_p**k * den_q**k if exact else 1
     return {
-        _unflatten(flat, side): Fraction(weight, scale) if exact else weight
-        for flat, weight in sorted(merged.items())
+        state: Fraction(weight, scale) if exact else weight
+        for state, weight in sorted(merged.items(), key=lambda e: e[0].flattened)
     }
 
 
@@ -458,13 +457,7 @@ def monte_carlo_state_distribution(
     first1, index1 = _distinct_rows(draws1, draw_size + 1)
     first2, index2 = _distinct_rows(draws2, draw_size + 1)
     n2 = len(first2)
-    pairs = index1 * n2 + index2
-    if len(first1) * n2 <= n_samples:
-        counts = np.bincount(pairs)
-        codes = np.flatnonzero(counts)
-        counts = counts[codes]
-    else:  # too many possible pairs for one bin each
-        codes, counts = np.unique(pairs, return_counts=True)
+    codes, counts = np.unique(index1 * n2 + index2, return_counts=True)
     freq: dict[StateMatrix, Fraction] = {}
     for code, count in zip(codes.tolist(), counts.tolist()):
         g1 = tuple(draws1[first1[code // n2]].tolist())
