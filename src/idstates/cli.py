@@ -12,13 +12,21 @@ Subcommands:
   simulate      closed-form probabilities vs seeded Monte Carlo frequencies
   prevalence    Dirichlet experiment: how often within > between
 
-Exit codes: 0 success, 1 invalid input or guard violation, 2 internal
-check failure (oracle mismatch).
+Exit codes: 0 success; 1 bad input of any kind (usage errors such as an
+unknown command, flag or choice and a non-integer number, bad
+frequencies, a guard violation, an unwritable --out, running out of
+memory), reported as one "error: ..." line on stderr; 2 internal check
+failure (oracle mismatch). -h prints help and exits 0.
 
 Frequencies come from --freq (delimited file) or inline --p/--q
 (comma-separated values, decimals or "a/b"). Numeric mode is chosen
-automatically (rational when every value is an integer or "a/b" literal,
-float when any is a decimal) unless forced with --mode.
+automatically, once over p and q together (rational when every value is
+an integer or "a/b" literal, float when any is a decimal), unless forced
+with --mode.
+
+The parser built by build_parser is the one table of which command takes
+which flag and of every flag's default; handlers read the parsed
+namespace directly.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .enumeration import enumerate_states, state_count
@@ -46,6 +53,7 @@ from .serialize import (
     StateTable,
     format_exact,
     format_float,
+    numeric_mode,
     parse_frequency_file,
     parse_frequency_values,
     write_count_grid,
@@ -57,72 +65,62 @@ from .serialize import (
 DRAW_SIZE_GUARD = 8
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation parameters for one CLI run."""
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise ValueError.
 
-    command: str
-    draw_size: int | None = None
-    n_objects: int | None = None
-    freq_input: str | None = None
-    inline_p: str | None = None
-    inline_q: str | None = None
-    output_format: str = "table"
-    mode: str = "auto"
-    seed: int = 0
-    n_samples: int = 100000
-    output_path: str | None = None
-    paper_layout: bool = False
-    force: bool = False
-    concentration: float = 1.0
-    perturb_state: int | None = None
+    main reports them like any other bad input: exit 1, one error line.
+    Subparsers are built from the same class.
+    """
 
-    def validate(self):
-        needs_k = {"enumerate", "count-table", "probabilities", "oracle-check",
-                   "simulate", "expectation"}
-        needs_i = {"enumerate", "probabilities", "oracle-check", "simulate",
-                   "prevalence"}
-        if self.command in needs_k:
-            if self.draw_size is None or self.draw_size < 1:
-                raise ValueError("--k must be a positive integer")
-            if self.draw_size > DRAW_SIZE_GUARD and not self.force:
-                raise ValueError(
-                    f"draw size {self.draw_size} exceeds the guard "
-                    f"({DRAW_SIZE_GUARD}); pass --force to override"
-                )
-        if self.command in needs_i:
-            if self.n_objects is None or self.n_objects < 1:
-                raise ValueError("--i must be a positive integer")
-        if self.inline_q and not self.inline_p:
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _validate(args: argparse.Namespace) -> argparse.Namespace:
+    """Checks that neither the parser nor the library makes."""
+    if hasattr(args, "k"):
+        if args.k is None or args.k < 1:
+            raise ValueError("--k must be a positive integer")
+        if args.k > DRAW_SIZE_GUARD and not args.force:
+            raise ValueError(
+                f"draw size {args.k} exceeds the guard "
+                f"({DRAW_SIZE_GUARD}); pass --force to override"
+            )
+    if hasattr(args, "i") and (args.i is None or args.i < 1):
+        raise ValueError("--i must be a positive integer")
+    if hasattr(args, "p"):
+        if args.q and not args.p:
             raise ValueError("--q needs --p")
-        if self.freq_input and self.inline_p:
+        if args.freq and args.p:
             raise ValueError("give either --freq or --p/--q, not both")
-        if self.command in ("probabilities", "expectation"):
-            if not (self.freq_input or self.inline_p):
-                raise ValueError(f"{self.command} requires --freq or --p")
-        if self.command == "prevalence":
-            if self.n_objects < 2:
-                raise ValueError("prevalence needs --i >= 2")
-            if not self.concentration > 0:
-                raise ValueError("--concentration must be positive")
-        if self.n_samples < 1:
-            raise ValueError("--samples must be >= 1")
-        return self
+        if args.command in ("probabilities", "expectation") and not (
+            args.freq or args.p
+        ):
+            raise ValueError(f"{args.command} requires --freq or --p")
+    return args
 
 
-def _frequencies(config: RunConfig, default_uniform: bool = False):
-    """Resolve (p, q) from config, or None when absent and no default asked."""
-    if config.freq_input:
-        return parse_frequency_file(config.freq_input, config.mode)
-    if config.inline_p:
-        p = parse_frequency_values(config.inline_p.split(","), config.mode)
-        if config.inline_q:
-            q = parse_frequency_values(config.inline_q.split(","), config.mode)
-        else:
-            q = p
+#: bench/harness.py's set-up probe imports the parse-and-validate step by
+#: this name.
+config_from_args = _validate
+
+
+def _frequencies(args: argparse.Namespace, default_uniform: bool = False):
+    """Resolve (p, q) from the arguments, or None when absent and no default asked.
+
+    Auto mode is decided once over the p and q values together.
+    """
+    if args.freq:
+        return parse_frequency_file(args.freq, args.mode)
+    if args.p:
+        p_tokens = args.p.split(",")
+        q_tokens = args.q.split(",") if args.q else []
+        mode = numeric_mode(p_tokens + q_tokens, args.mode)
+        p = parse_frequency_values(p_tokens, mode)
+        q = parse_frequency_values(q_tokens, mode) if q_tokens else p
         return p, q
     if default_uniform:
-        p = FrequencyVector.uniform(config.n_objects, exact=config.mode != "float")
+        p = FrequencyVector.uniform(args.i, exact=args.mode != "float")
         return p, p
     return None
 
@@ -138,58 +136,43 @@ def _random_rational_vector(rng, n_objects: int) -> FrequencyVector:
             )
 
 
-def _check_lengths(p, config: RunConfig):
-    if len(p) != config.n_objects:
-        raise ValueError(
-            f"frequencies cover {len(p)} objects but --i is {config.n_objects}"
-        )
+def _check_lengths(p, args: argparse.Namespace):
+    if len(p) != args.i:
+        raise ValueError(f"frequencies cover {len(p)} objects but --i is {args.i}")
 
 
-def _state_table(config: RunConfig, freqs) -> StateTable:
-    states = enumerate_states(config.draw_size, config.n_objects)
+def _state_table(args: argparse.Namespace, freqs) -> StateTable:
+    states = enumerate_states(args.k, args.i)
     if freqs is None:
-        return StateTable(config.draw_size, config.n_objects, states)
+        return StateTable(args.k, args.i, states)
     p, q = freqs
-    _check_lengths(p, config)
+    _check_lengths(p, args)
     exact = p.exact and q.exact
-    dist = state_distribution(config.draw_size, p, q)
+    dist = state_distribution(args.k, p, q)
     zero = Fraction(0) if exact else 0.0
     probs = [dist.get(s.canonical_matrix, zero) for s in states]
-    return StateTable(
-        config.draw_size,
-        config.n_objects,
-        states,
-        probabilities=probs,
-        exact=exact,
-    )
+    return StateTable(args.k, args.i, states, probabilities=probs, exact=exact)
 
 
-def cmd_enumerate(config: RunConfig) -> str:
-    table = _state_table(config, _frequencies(config))
-    return write_state_table(table, config.output_format)
+def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
+    """State table; `enumerate` and `probabilities` (frequencies required)."""
+    table = _state_table(args, _frequencies(args))
+    return write_state_table(table, args.format), 0
 
 
-def cmd_probabilities(config: RunConfig) -> str:
-    freqs = _frequencies(config)
-    if freqs is None:
-        raise ValueError("probabilities requires --freq or --p")
-    return write_state_table(_state_table(config, freqs), config.output_format)
-
-
-def cmd_count_table(config: RunConfig) -> str:
-    k_max = config.draw_size
+def cmd_count_table(args: argparse.Namespace) -> tuple[str, int]:
     counts = {
         (k, i): state_count(k, i)
-        for k in range(1, k_max + 1)
-        for i in range(1, 2 * k_max + 1)
+        for k in range(1, args.k + 1)
+        for i in range(1, 2 * args.k + 1)
     }
     return write_count_grid(
-        counts, k_max, config.output_format, paper_layout=config.paper_layout
-    )
+        counts, args.k, args.format, paper_layout=args.paper_layout
+    ), 0
 
 
-def cmd_expectation(config: RunConfig) -> str:
-    p, q = _frequencies(config)
+def cmd_expectation(args: argparse.Namespace) -> tuple[str, int]:
+    p, q = _frequencies(args)
     report = comparison_report(p, q)
     exact = p.exact and q.exact
     fields = [
@@ -201,47 +184,43 @@ def cmd_expectation(config: RunConfig) -> str:
     ]
     if exact:
         # state-weighted route must agree bit-exactly with the closed form
-        via_states = expected_dissimilarity_via_states(config.draw_size, p, q)
-        fields.append(("state_sum_draw_size", config.draw_size))
+        via_states = expected_dissimilarity_via_states(args.k, p, q)
+        fields.append(("state_sum_draw_size", args.k))
         fields.append(("state_sum_matches", via_states == report.e_pq))
-    return write_fields(fields, config.output_format, exact)
+    return write_fields(fields, args.format, exact), 0
 
 
-def cmd_oracle_check(config: RunConfig) -> tuple[str, int]:
-    freqs = _frequencies(config)
+def cmd_oracle_check(args: argparse.Namespace) -> tuple[str, int]:
+    freqs = _frequencies(args)
     if freqs is None:
         import random
 
-        rng = random.Random(config.seed)
-        p = _random_rational_vector(rng, config.n_objects)
-        q = _random_rational_vector(rng, config.n_objects)
+        rng = random.Random(args.seed)
+        p = _random_rational_vector(rng, args.i)
+        q = _random_rational_vector(rng, args.i)
     else:
         p, q = freqs
-    _check_lengths(p, config)
+    _check_lengths(p, args)
     exact = p.exact and q.exact
     # run the oracle first so its size guard fires before the closed-form
     # evaluation (whose injective sums grow with the same inputs)
-    oracle = brute_force_state_distribution(
-        config.draw_size, config.n_objects, p, q, force=config.force
-    )
-    states = enumerate_states(config.draw_size, config.n_objects)
-    if config.perturb_state is not None and not (
-        0 <= config.perturb_state < len(states)
-    ):
+    oracle = brute_force_state_distribution(args.k, args.i, p, q, force=args.force)
+    states = enumerate_states(args.k, args.i)
+    if args.perturb is not None and not 0 <= args.perturb < len(states):
         raise ValueError(
-            f"--perturb {config.perturb_state} is outside the "
+            f"--perturb {args.perturb} is outside the "
             f"{len(states)} states (0..{len(states) - 1})"
         )
     theory = [state_probability(s, p, q).value for s in states]
-    if config.perturb_state is not None:
+    if args.perturb is not None:
         # test hook: corrupt one closed-form value to prove mismatches surface
         bump = Fraction(1, 1000) if exact else 1e-3
-        theory[config.perturb_state] = theory[config.perturb_state] + bump
-    one_pass = state_distribution(config.draw_size, p, q)
+        theory[args.perturb] = theory[args.perturb] + bump
+    one_pass = state_distribution(args.k, p, q)
     tolerance = 0 if exact else 1e-12
     lines = [
         "# closed-form state probabilities vs exhaustive oracle",
-        f"# draw_size={config.draw_size} n_objects={config.n_objects} "
+        f"# draw_size={args.k} n_objects={args.i} "
         f"mode={'rational' if exact else 'float'}",
     ]
     failures = 0
@@ -270,46 +249,38 @@ def cmd_oracle_check(config: RunConfig) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0 if not failures else 2
 
 
-def cmd_simulate(config: RunConfig) -> str:
-    p, q = _frequencies(config, default_uniform=True)
-    _check_lengths(p, config)
-    states = enumerate_states(config.draw_size, config.n_objects)
-    dist = state_distribution(config.draw_size, p, q)
+def cmd_simulate(args: argparse.Namespace) -> tuple[str, int]:
+    p, q = _frequencies(args, default_uniform=True)
+    _check_lengths(p, args)
+    states = enumerate_states(args.k, args.i)
+    dist = state_distribution(args.k, p, q)
     empirical = monte_carlo_state_distribution(
-        config.draw_size,
-        config.n_objects,
-        p,
-        q,
-        n_samples=config.n_samples,
-        seed=config.seed,
+        args.k, args.i, p, q, n_samples=args.samples, seed=args.seed
     )
     lines = [
         "# Monte Carlo state frequencies vs closed form",
-        f"# draw_size={config.draw_size} n_objects={config.n_objects} "
-        f"samples={config.n_samples} seed={config.seed}",
+        f"# draw_size={args.k} n_objects={args.i} "
+        f"samples={args.samples} seed={args.seed}",
         "index\tD\ttheory\tempirical\tabs_error\tsigma",
     ]
     for idx, state in enumerate(states):
         theory = float(dist.get(state.canonical_matrix, 0))
         freq = float(empirical.get(state.canonical_matrix, Fraction(0)))
-        sigma = math.sqrt(theory * (1 - theory) / config.n_samples)
+        sigma = math.sqrt(theory * (1 - theory) / args.samples)
         lines.append(
             f"{idx}\t{state.dissimilarity}\t{format_float(theory)}"
             f"\t{format_float(freq)}\t{format_float(abs(freq - theory))}"
             f"\t{format_float(sigma)}"
         )
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_prevalence(config: RunConfig) -> str:
+def cmd_prevalence(args: argparse.Namespace) -> tuple[str, int]:
     fraction = prevalence_experiment(
-        config.n_objects,
-        config.n_samples,
-        config.seed,
-        concentration=config.concentration,
+        args.i, args.samples, args.seed, concentration=args.concentration
     )
     # Wilson 95% interval for the trial fraction
-    n = config.n_samples
+    n = args.samples
     z = 1.959963984540054
     center = (fraction + z * z / (2 * n)) / (1 + z * z / n)
     half = (
@@ -318,27 +289,30 @@ def cmd_prevalence(config: RunConfig) -> str:
         / (1 + z * z / n)
     )
     fields = [
-        ("n_objects", config.n_objects),
+        ("n_objects", args.i),
         ("n_trials", n),
-        ("seed", config.seed),
-        ("concentration", config.concentration),
+        ("seed", args.seed),
+        ("concentration", args.concentration),
         ("fraction_within_exceeds_between", fraction),
         ("ci95_low", max(0.0, center - half)),
         ("ci95_high", min(1.0, center + half)),
     ]
-    return write_fields(fields, config.output_format, exact=False)
+    return write_fields(fields, args.format, exact=False), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The one table of commands, their flags and every flag's default."""
+    parser = _Parser(
         prog="idstates",
         description="Identity states, exact probabilities, and expected "
         "dissimilarity for pairs of unordered draws.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, k=False, i=False, freq=False, samples=False):
+    def add(name, handler, help_text, *, k=False, i=False, freq=False,
+            samples=False):
         sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(handler=handler)
         if k:
             sp.add_argument("--k", type=int, help="draw size (items per draw)")
         if i:
@@ -360,78 +334,46 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override size guards")
         return sp
 
-    add("enumerate", "identity-state table for one (K, I)",
+    add("enumerate", cmd_enumerate, "identity-state table for one (K, I)",
         k=True, i=True, freq=True)
-    ct = add("count-table", "state-count grid for K=1..K_max")
+    ct = add("count-table", cmd_count_table, "state-count grid for K=1..K_max")
     ct.add_argument("--k", type=int, default=6, help="largest draw size K_max")
     ct.add_argument("--paper-layout", action="store_true",
                     help="blank plateau cells (I > 2K) instead of marking them")
-    add("probabilities", "state table with probabilities (frequencies required)",
+    add("probabilities", cmd_enumerate,
+        "state table with probabilities (frequencies required)",
         k=True, i=True, freq=True)
-    ex = add("expectation", "expected-dissimilarity report", freq=True)
+    ex = add("expectation", cmd_expectation, "expected-dissimilarity report",
+             freq=True)
     ex.add_argument("--k", type=int, default=2,
                     help="draw size for the state-sum cross-check")
-    oc = add("oracle-check", "closed form vs exhaustive oracle",
+    oc = add("oracle-check", cmd_oracle_check, "closed form vs exhaustive oracle",
              k=True, i=True, freq=True)
     oc.add_argument("--perturb", type=int, default=None, metavar="INDEX",
                     help="test hook: corrupt state INDEX before comparing")
-    add("simulate", "closed form vs Monte Carlo (uniform p=q by default)",
+    add("simulate", cmd_simulate,
+        "closed form vs Monte Carlo (uniform p=q by default)",
         k=True, i=True, freq=True, samples=True)
-    pv = add("prevalence", "Dirichlet within-vs-between experiment",
+    pv = add("prevalence", cmd_prevalence, "Dirichlet within-vs-between experiment",
              i=True, samples=True)
     pv.add_argument("--concentration", type=float, default=1.0,
                     help="symmetric Dirichlet concentration")
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        draw_size=getattr(args, "k", None),
-        n_objects=getattr(args, "i", None),
-        freq_input=getattr(args, "freq", None),
-        inline_p=getattr(args, "p", None),
-        inline_q=getattr(args, "q", None),
-        output_format=args.format,
-        mode=args.mode,
-        seed=args.seed,
-        n_samples=getattr(args, "samples", 100000),
-        output_path=args.out,
-        paper_layout=getattr(args, "paper_layout", False),
-        force=args.force,
-        concentration=getattr(args, "concentration", 1.0),
-        perturb_state=getattr(args, "perturb", None),
-    ).validate()
-
-
-_COMMANDS = {
-    "enumerate": cmd_enumerate,
-    "count-table": cmd_count_table,
-    "probabilities": cmd_probabilities,
-    "expectation": cmd_expectation,
-    "simulate": cmd_simulate,
-    "prevalence": cmd_prevalence,
-}
-
-
-def run(config: RunConfig) -> tuple[str, int]:
-    if config.command == "oracle-check":
-        return cmd_oracle_check(config)
-    return _COMMANDS[config.command](config), 0
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        output, code = run(config)
-        if config.output_path:
-            with open(config.output_path, "w", encoding="utf-8") as fh:
+        args = _validate(build_parser().parse_args(argv))
+        output, code = args.handler(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(output)
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as err:
+        # one line, even when the message quotes an argument holding newlines
+        message = " ".join(str(err).splitlines()) or type(err).__name__
+        print(f"error: {message}", file=sys.stderr)
         return 1
-    if not config.output_path:
+    if not args.out:
         sys.stdout.write(output)
     return code
 

@@ -19,6 +19,7 @@ sampling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,16 +102,29 @@ def within_exceeds_between_fraction(p_rows: np.ndarray, q_rows: np.ndarray) -> f
     return float(np.mean(cross_sim > self_sim))
 
 
+#: Draws of a row allowed before its Gamma entries, all underflowed to 0,
+#: count as a concentration too small to sample.
+DIRICHLET_ROUNDS = 100
+
+
 def _dirichlet_rows(rng, concentration: float, n_rows: int, n_cols: int):
     # symmetric Dirichlet via the normalized-Gamma construction
     raw = rng.gamma(shape=concentration, scale=1.0, size=(n_rows, n_cols))
     totals = raw.sum(axis=1, keepdims=True)
-    # zero rows have measure zero but guard against float underflow anyway
+    # zero rows have measure zero, but Gamma draws underflow at tiny
+    # concentrations: redraw them, a bounded number of times
     bad = totals[:, 0] == 0.0
+    rounds = 1
     while bad.any():
+        if rounds == DIRICHLET_ROUNDS:
+            raise ValueError(
+                f"concentration {concentration} is too small: Gamma draws "
+                f"still underflow to all-zero rows after {rounds} rounds"
+            )
         raw[bad] = rng.gamma(shape=concentration, scale=1.0, size=(bad.sum(), n_cols))
         totals = raw.sum(axis=1, keepdims=True)
         bad = totals[:, 0] == 0.0
+        rounds += 1
     return raw / totals
 
 
@@ -127,8 +141,10 @@ def prevalence_experiment(
         raise ValueError(f"need at least two objects, got {n_objects}")
     if n_trials < 1:
         raise ValueError(f"need at least one trial, got {n_trials}")
-    if not concentration > 0:
-        raise ValueError(f"concentration must be positive, got {concentration}")
+    if not 0 < concentration < math.inf:
+        raise ValueError(
+            f"concentration must be positive and finite, got {concentration}"
+        )
     rng = np.random.default_rng(seed)
     p_rows = _dirichlet_rows(rng, concentration, n_trials, n_objects)
     q_rows = _dirichlet_rows(rng, concentration, n_trials, n_objects)

@@ -2,7 +2,13 @@
 
 from fractions import Fraction
 
+from hypothesis import settings
+
 from idstates import DrawVector, PairMatrix, canonicalize, state_matrix
+
+# Property tests draw the same examples on every run.
+settings.register_profile("idstates", derandomize=True, deadline=None, database=None)
+settings.load_profile("idstates")
 
 
 def compositions(total, slots):

@@ -1,7 +1,14 @@
 """CLI behavior: commands, formats, exit codes, determinism."""
 
+import argparse
+import contextlib
+import io
 import json
 from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import idstates.cli as cli
 from idstates.cli import main
@@ -12,6 +19,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_captured(argv):
+    """main(argv) with stdout and stderr captured, for hypothesis tests."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "usage:" not in err and "Traceback" not in err
 
 
 def test_enumerate_basic(capsys):
@@ -247,3 +268,172 @@ def test_freq_and_inline_conflict(capsys, tmp_path):
         "--freq", str(path), "--p", "1/2,1/2",
     )
     assert code == 1 and "not both" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--k", "abc", "--i", "3"],
+    ["no-such-command"],
+    [],
+    ["enumerate", "--k", "2", "--i", "3", "--format", "xml"],
+    ["enumerate", "--k", "2", "--i", "3", "stray\nargument"],
+])
+def test_usage_errors_exit_one_line(capsys, argv):
+    assert_one_error_line(*run_cli(capsys, *argv))
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "-h"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_huge_decimal_frequency_exits_one_line(capsys, tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("A,1e400\nB,1\n")
+    for source in (["--p", "1e400,1"], ["--freq", str(path)]):
+        assert_one_error_line(*run_cli(
+            capsys, "enumerate", "--k", "2", "--i", "2", *source))
+
+
+def test_memory_error_exits_one_line(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.46 TiB for an array")
+
+    monkeypatch.setattr(cli, "monte_carlo_state_distribution", exhausted)
+    assert_one_error_line(*run_cli(
+        capsys, "simulate", "--k", "2", "--i", "3", "--samples", "100"))
+
+
+@pytest.mark.parametrize("concentration", ["inf", "1e-300"])
+def test_prevalence_concentration_out_of_reach(capsys, concentration):
+    assert_one_error_line(*run_cli(
+        capsys, "prevalence", "--i", "3", "--samples", "50",
+        "--concentration", concentration))
+
+
+def test_auto_mode_decided_over_p_and_q_together(capsys, tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("A,0.5,1\nB,0.5,0\n")
+    for source in (["--p", "0.5,0.5", "--q", "1,0"], ["--freq", str(path)]):
+        code, out, _ = run_cli(capsys, "expectation", *source, "--format", "records")
+        report = json.loads(out)
+        assert code == 0
+        assert report["e_qq"] == 0.0 and "e_qq_float" not in report
+        assert "state_sum_matches" not in report
+
+
+# -- argv and frequency-file fuzz: exit 0, 1 or 2, never a traceback ---------
+
+ODD_TOKENS = ["abc", "1e400", "inf", "nan", "-1", "1/0", ",,", "1e-300", "", "0"]
+
+
+def _options_by_command():
+    """Each command's value-taking options and flags, read from the parser."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: [a.option_strings[0] for a in parser._actions
+               if a.option_strings and a.option_strings[0] not in ("-h", "--out", "--freq")]
+        for name, parser in sub.choices.items()
+    }
+
+
+OPTIONS = _options_by_command()
+ALL_OPTIONS = sorted({opt for opts in OPTIONS.values() for opt in opts})
+
+
+def maybe_odd(draw, good: str) -> str:
+    """good, or now and then one of the odd tokens."""
+    return draw(st.sampled_from(ODD_TOKENS)) if draw(st.integers(0, 7)) == 0 else good
+
+
+@st.composite
+def frequency_tokens(draw, n):
+    """n frequency tokens summing to 1, rational or decimal, maybe one odd."""
+    weights = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(any))
+    total = sum(weights)
+    decimal = draw(st.booleans())
+    tokens = [repr(w / total) if decimal else f"{w}/{total}" for w in weights]
+    j = draw(st.integers(0, n - 1))
+    tokens[j] = maybe_odd(draw, tokens[j])
+    return tokens
+
+
+@st.composite
+def argv_case(draw):
+    """A command with mostly well-formed options (K <= 4, I <= 6,
+    --samples <= 1000), some odd values, and at times an option it lacks."""
+    command = draw(st.sampled_from([*OPTIONS, "bogus"]))
+    k, i = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    good = {
+        "--k": str(k), "--i": str(i),
+        "--p": ",".join(draw(frequency_tokens(i))),
+        "--q": ",".join(draw(frequency_tokens(i))),
+        "--samples": str(draw(st.integers(1, 1000))),
+        "--seed": str(draw(st.integers(0, 99))),
+        "--perturb": str(draw(st.integers(-1, 20))),
+        "--concentration": draw(st.sampled_from(["0.5", "1", "3"])),
+        "--mode": draw(st.sampled_from(["auto", "rational", "float"])),
+        "--format": draw(st.sampled_from(["table", "records", "csv"])),
+    }
+    argv = [command]
+    for opt in OPTIONS.get(command, []):
+        # --k, --i and --p are given 7 times in 8, the rest half the time
+        mostly = opt in ("--k", "--i", "--p")
+        if draw(st.integers(0, 7)) if mostly else draw(st.booleans()):
+            argv.append(opt)
+            if opt in good:
+                argv.append(maybe_odd(draw, good[opt]))
+    if draw(st.integers(0, 7)) == 0:
+        argv.append(draw(st.sampled_from(ALL_OPTIONS)))
+    return argv
+
+
+def assert_contract(code, out, err):
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert_one_error_line(code, out, err)
+    else:
+        assert err == ""
+
+
+@settings(max_examples=120)
+@given(argv_case())
+def test_argv_fuzz_keeps_exit_contract(argv):
+    assert_contract(*run_captured(argv))
+
+
+@st.composite
+def frequency_file(draw):
+    """Frequency-file bytes with, at times, a header, a ragged row, a
+    duplicate id, an odd number or bytes that are not UTF-8."""
+    n = draw(st.integers(1, 5))
+    columns = [draw(frequency_tokens(n)) for _ in range(draw(st.integers(1, 2)))]
+    rows = [[f"o{j}", *(column[j] for column in columns)] for j in range(n)]
+    fault = draw(st.sampled_from([None, "ragged", "duplicate", "wide", "bytes"]))
+    if fault == "ragged":
+        rows[-1].pop()
+    elif fault == "duplicate":
+        rows[-1][0] = rows[0][0]
+    elif fault == "wide":
+        rows = [row + ["1"] for row in rows]
+    if draw(st.booleans()):
+        rows.insert(0, ["object_id", "p", "q"][: len(columns) + 1])
+    delim = draw(st.sampled_from([",", "\t"]))
+    data = "\n".join(delim.join(row) for row in rows).encode()
+    if fault == "bytes":
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + draw(st.sampled_from([b"\xff", b"\x80", b"\xc3("])) + data[cut:]
+    return data, n
+
+
+@settings(max_examples=80)
+@given(frequency_file())
+def test_frequency_file_fuzz_keeps_exit_contract(tmp_path_factory, case):
+    data, n_objects = case
+    path = tmp_path_factory.mktemp("freq") / "f.csv"
+    path.write_bytes(data)
+    for argv in (["expectation", "--freq", str(path)],
+                 ["enumerate", "--k", "2", "--i", str(n_objects), "--freq", str(path)]):
+        assert_contract(*run_captured(argv))

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from idstates import enumerate_states, state_count, state_probability
+from idstates import enumerate_states, state_count, state_distribution, state_probability
 from idstates.serialize import (
     StateTable,
     format_exact,
@@ -75,6 +77,35 @@ def test_csv_round_trip(with_probs):
     assert back.states == table.states
     if with_probs:
         assert back.probabilities == table.probabilities
+
+
+@st.composite
+def exact_table(draw):
+    """State table for K <= 3, I <= 5, with exact probabilities or none."""
+    k, i = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    states = enumerate_states(k, i)
+    if not draw(st.booleans()):
+        return StateTable(k, i, states)
+    weights = st.lists(st.integers(0, 6), min_size=i, max_size=i).filter(any)
+    p, q = draw(weights), draw(weights)
+    dist = state_distribution(k, [Fraction(w, sum(p)) for w in p],
+                              [Fraction(w, sum(q)) for w in q])
+    probs = [dist.get(s.canonical_matrix, Fraction(0)) for s in states]
+    return StateTable(k, i, states, probabilities=probs, exact=True)
+
+
+@settings(max_examples=40)
+@given(exact_table(), st.sampled_from(["records", "csv"]))
+def test_exact_table_round_trip(table, fmt):
+    parse = {"records": parse_state_records, "csv": parse_state_csv}[fmt]
+    back = parse(write_state_table(table, fmt))
+    assert [s.canonical_matrix for s in back.states] == [
+        s.canonical_matrix for s in table.states
+    ]
+    assert back.states == table.states
+    assert back.probabilities == table.probabilities
+    assert back.exact
+    assert all(isinstance(v, Fraction) for v in back.probabilities or [])
 
 
 def test_float_mode_round_trip():
