@@ -20,9 +20,7 @@ from .enumeration import (
     enumerate_states,
     n_distinct,
     state_count,
-    state_from_matrix,
     state_matrix,
-    unordered_partitions,
 )
 from .expectation import (
     ExpectationReport,
@@ -73,9 +71,7 @@ __all__ = [
     "row_signature",
     "stabilizer_size",
     "state_count",
-    "state_from_matrix",
     "state_distribution",
     "state_matrix",
     "state_probability",
-    "unordered_partitions",
 ]

@@ -26,11 +26,11 @@ its transpose; catalogs are emitted sorted by that flattened form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
 
-from .core import DissimilarityValue, DrawVector, PairMatrix, dissimilarity
+from .core import DissimilarityValue, DrawVector, PairMatrix
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,17 @@ class StateMatrix:
 
 @dataclass(frozen=True)
 class IdentityState:
-    """One identity state: canonical matrix plus derived bookkeeping.
+    """One identity state, built from its canonical matrix alone.
+
+    The canonical (transpose-minimal) matrix is the only constructor
+    argument; every other field is derived from it once, here.
 
     The representative pair has its columns sorted in decreasing
     lexicographic order by (top, bottom), which puts nonzero columns
     first and reproduces the canonical matrix exactly (not just up to
-    transpose).
+    transpose). The dissimilarity is 1 - sum(a * b * M_ab) / K^2,
+    n_distinct counts the nonzero columns, and the stabilizer size is the
+    product of M_ab! over the cells other than (0, 0).
 
     Three nested flags describe the relation between the two rows:
     row_equal (identical vectors) implies is_symmetric (some relabeling
@@ -97,49 +102,50 @@ class IdentityState:
     """
 
     canonical_matrix: StateMatrix
-    representative: PairMatrix
-    dissimilarity: DissimilarityValue
-    n_distinct: int
-    is_symmetric: bool
-    stabilizer_size: int
-    row_equiv: bool
-    row_equal: bool
+    representative: PairMatrix = field(init=False)
+    dissimilarity: DissimilarityValue = field(init=False)
+    n_distinct: int = field(init=False)
+    is_symmetric: bool = field(init=False)
+    stabilizer_size: int = field(init=False)
+    row_equiv: bool = field(init=False)
+    row_equal: bool = field(init=False)
 
     def __post_init__(self):
-        rebuilt = canonicalize(state_matrix(self.representative))
-        if rebuilt != self.canonical_matrix:
-            raise ValueError("representative does not reproduce canonical matrix")
-        if not 1 <= self.n_distinct <= min(
-            self.representative.n_objects, 2 * self.representative.draw_size
-        ):
-            raise ValueError(f"n_distinct {self.n_distinct} out of range")
-        if self.row_equal and not self.is_symmetric:
-            raise ValueError("equal rows must give a symmetric matrix")
-        if self.is_symmetric and not self.row_equiv:
-            raise ValueError("a symmetric matrix forces row-equivalent rows")
-
-
-def unordered_partitions(total: int) -> list[tuple[int, ...]]:
-    """All partitions of `total` into nonincreasing positive parts.
-
-    Emitted in lexicographically decreasing order, e.g. 3 -> (3,), (2, 1),
-    (1, 1, 1).
-    """
-    if total < 1:
-        raise ValueError(f"cannot partition {total}; need a positive integer")
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, cap: int, prefix: list[int]):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(remaining, cap), 0, -1):
-            prefix.append(part)
-            rec(remaining - part, part, prefix)
-            prefix.pop()
-
-    rec(total, total, [])
-    return out
+        grid = self.canonical_matrix.entries
+        side = len(grid)
+        flat = self.canonical_matrix.flattened
+        if _canonical_flat(flat, side) != flat:
+            raise ValueError("matrix is not in canonical (transpose-minimal) form")
+        k = side - 1
+        tops: list[int] = []
+        bottoms: list[int] = []
+        overlap = 0
+        stab = 1
+        # cells in decreasing (top, bottom) order; (0, 0) pads at the end
+        for pos in range(side * side - 1, 0, -1):
+            count = flat[pos]
+            if count:
+                top, bottom = divmod(pos, side)
+                tops += [top] * count
+                bottoms += [bottom] * count
+                overlap += top * bottom * count
+                stab *= factorial(count)
+        nonzero_cols = len(tops)
+        tops += [0] * flat[0]
+        bottoms += [0] * flat[0]
+        transposed = tuple(zip(*grid))
+        derived = {
+            "representative": PairMatrix(DrawVector(tops), DrawVector(bottoms)),
+            "dissimilarity": DissimilarityValue(k * k - overlap, k * k),
+            "n_distinct": nonzero_cols,
+            "is_symmetric": grid == transposed,
+            "stabilizer_size": stab,
+            "row_equiv": tuple(map(sum, grid)) == tuple(map(sum, transposed)),
+            # every column on the diagonal: top == bottom
+            "row_equal": sum(flat[:: side + 1]) == len(tops),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def state_matrix(pair: PairMatrix) -> StateMatrix:
@@ -223,42 +229,6 @@ def _unflatten(flat: tuple[int, ...], side: int) -> StateMatrix:
     return StateMatrix(rows)
 
 
-def _representative_pair(matrix: StateMatrix) -> PairMatrix:
-    """Pair realizing the matrix, columns in decreasing lexicographic order."""
-    columns: list[tuple[int, int]] = []
-    for top, row in enumerate(matrix.entries):
-        for bottom, count in enumerate(row):
-            columns.extend([(top, bottom)] * count)
-    columns.sort(reverse=True)
-    row1 = tuple(c[0] for c in columns)
-    row2 = tuple(c[1] for c in columns)
-    return PairMatrix(DrawVector(row1), DrawVector(row2))
-
-
-def _build_state(matrix: StateMatrix, nonzero_cols: int) -> IdentityState:
-    grid = matrix.entries
-    rep = _representative_pair(matrix)
-    row_sums = tuple(sum(row) for row in grid)
-    col_sums = tuple(sum(col) for col in zip(*grid))
-    stab = 1
-    for top, row in enumerate(grid):
-        for bottom, count in enumerate(row):
-            if (top, bottom) != (0, 0):
-                stab *= factorial(count)
-    return IdentityState(
-        canonical_matrix=matrix,
-        representative=rep,
-        dissimilarity=dissimilarity(rep.row1, rep.row2),
-        n_distinct=nonzero_cols,
-        is_symmetric=grid == tuple(zip(*grid)),
-        stabilizer_size=stab,
-        row_equiv=row_sums == col_sums,
-        row_equal=all(
-            v == 0 for i, row in enumerate(grid) for j, v in enumerate(row) if i != j
-        ),
-    )
-
-
 def _check_sizes(draw_size: int, objects: int):
     if draw_size < 1:
         raise ValueError(f"draw size must be >= 1, got {draw_size}")
@@ -277,15 +247,13 @@ def enumerate_states(draw_size: int, n_objects: int) -> list[IdentityState]:
     _check_sizes(draw_size, n_objects)
     span = 2 * draw_size
     side = draw_size + 1
-    states = []
-    for flat in _canonical_flat_keys(draw_size):
-        nonzero_cols = span - flat[0]
-        if nonzero_cols > n_objects:
-            continue
-        adjusted = (n_objects - nonzero_cols,) + flat[1:]
-        states.append(_build_state(_unflatten(adjusted, side), nonzero_cols))
-    states.sort(key=lambda s: s.canonical_matrix.flattened)
-    return states
+    # M_00 = I - (nonzero columns) moves entry 0 of every sorted key by the
+    # same constant, so the keys' order is the catalog order
+    return [
+        IdentityState(_unflatten((n_objects - span + flat[0],) + flat[1:], side))
+        for flat in _canonical_flat_keys(draw_size)
+        if span - flat[0] <= n_objects
+    ]
 
 
 def state_count(draw_size: int, n_objects: int) -> int:
@@ -295,10 +263,3 @@ def state_count(draw_size: int, n_objects: int) -> int:
     return sum(
         1 for flat in _canonical_flat_keys(draw_size) if span - flat[0] <= n_objects
     )
-
-
-def state_from_matrix(matrix: StateMatrix) -> IdentityState:
-    """Rebuild the full state record from a canonical matrix."""
-    if matrix != canonicalize(matrix):
-        raise ValueError("matrix is not in canonical (transpose-minimal) form")
-    return _build_state(matrix, matrix.n_objects - matrix.entries[0][0])

@@ -134,9 +134,6 @@ class FrequencyVector:
             return cls((Fraction(1, n_objects),) * n_objects, True)
         return cls((1.0 / n_objects,) * n_objects, False)
 
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(v) for v in self.entries)
-
     def __len__(self):
         return len(self.entries)
 

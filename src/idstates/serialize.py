@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import DrawVector, PairMatrix
-from .enumeration import IdentityState, StateMatrix, state_from_matrix
+from .enumeration import IdentityState, StateMatrix
 from .probability import FrequencyVector
 
 STATE_FIELDS = [
@@ -65,9 +65,36 @@ def rounded_float(x) -> float:
     return float(format_float(x))
 
 
+# Largest decimal exponent read; the same as Python's digit limit on the
+# integers of an "a/b" literal.
+MAX_DECIMAL_EXPONENT = 4300
+
+# A decimal literal with an exponent, in the form Fraction() reads it.
+_EXPONENT_LITERAL = re.compile(
+    r"[-+]?(?=\d|\.\d)[\d_]*(?:\.[\d_]*)?[eE]([-+]?[\d_]+)"
+)
+
+
+def _check_exponent(token: str):
+    """Reject a decimal literal whose exponent is beyond MAX_DECIMAL_EXPONENT.
+
+    Fraction() expands the exponent into a full integer before any range
+    check could run; 1e10000000 takes seconds.
+    """
+    match = _EXPONENT_LITERAL.fullmatch(token.strip())
+    digits = match.group(1).replace("_", "").lstrip("-+0") if match else ""
+    if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+            or int(digits or 0) > MAX_DECIMAL_EXPONENT):
+        raise ValueError(
+            f"decimal exponent out of range (limit {MAX_DECIMAL_EXPONENT}): "
+            f"{token.strip()!r}"
+        )
+
+
 def parse_number(token: str, exact: bool):
     """One numeric token: "a/b", decimal, or integer."""
     token = token.strip()
+    _check_exponent(token)
     try:
         value = Fraction(token)
     except (ValueError, ZeroDivisionError):
@@ -213,7 +240,7 @@ def _state_from_record(rec: dict) -> tuple[IdentityState, object]:
         raise ValueError(
             f"matrix covers {matrix.n_objects} objects, record says {rec['i']}"
         )
-    state = state_from_matrix(matrix)
+    state = IdentityState(matrix)
     rep = PairMatrix(
         DrawVector(tuple(rec["rep_row1"])), DrawVector(tuple(rec["rep_row2"]))
     )
@@ -336,6 +363,7 @@ def parse_frequency_file(
     rows = [ln.split(delim) for ln in lines]
     # optional header: first row whose second cell is not numeric
     if len(rows[0]) >= 2:
+        _check_exponent(rows[0][1])
         try:
             Fraction(rows[0][1].strip())
         except (ValueError, ZeroDivisionError):

@@ -1,4 +1,4 @@
-"""State enumeration: partitions, canonical forms, catalogs."""
+"""State enumeration: canonical forms, catalogs, state records."""
 
 import random
 
@@ -6,58 +6,20 @@ import pytest
 
 from idstates import (
     DrawVector,
+    IdentityState,
     PairMatrix,
     StateMatrix,
     canonicalize,
+    dissimilarity,
     enumerate_states,
     n_distinct,
     row_signature,
     stabilizer_size,
     state_count,
-    state_from_matrix,
     state_matrix,
-    unordered_partitions,
 )
 
 from conftest import canonical_key, compositions, random_draw
-
-
-def partition_count_oracle(n):
-    """Independent p(n) via the classic table recurrence."""
-    table = [[0] * (n + 1) for _ in range(n + 1)]
-    for largest in range(n + 1):
-        table[largest][0] = 1
-    for largest in range(1, n + 1):
-        for total in range(1, n + 1):
-            table[largest][total] = table[largest - 1][total]
-            if total >= largest:
-                table[largest][total] += table[largest][total - largest]
-    return table[n][n]
-
-
-def test_partitions_small():
-    assert unordered_partitions(2) == [(2,), (1, 1)]
-    assert unordered_partitions(3) == [(3,), (2, 1), (1, 1, 1)]
-
-
-def test_partition_counts_match_recurrence():
-    for n in range(1, 11):
-        assert len(unordered_partitions(n)) == partition_count_oracle(n)
-    assert len(unordered_partitions(6)) == 11
-
-
-def test_partitions_shape_and_order():
-    for n in range(1, 9):
-        parts = unordered_partitions(n)
-        assert all(sum(p) == n for p in parts)
-        assert all(all(a >= b for a, b in zip(p, p[1:])) for p in parts)
-        assert parts == sorted(parts, reverse=True)
-        assert len(set(parts)) == len(parts)
-
-
-def test_partitions_reject_nonpositive():
-    with pytest.raises(ValueError):
-        unordered_partitions(0)
 
 
 def test_state_matrix_known_cases():
@@ -130,8 +92,9 @@ def test_catalog_rejects_bad_sizes():
 
 
 def test_catalog_sorted_and_self_consistent():
-    for k, i in [(1, 2), (2, 4), (3, 6), (2, 3)]:
+    for k, i in [(1, 2), (2, 4), (3, 6), (2, 3), (4, 8), (4, 5)]:
         states = enumerate_states(k, i)
+        assert len(states) == state_count(k, i)
         flats = [s.canonical_matrix.flattened for s in states]
         assert flats == sorted(flats)
         for s in states:
@@ -141,6 +104,9 @@ def test_catalog_sorted_and_self_consistent():
             # columns of the representative are sorted, zero columns last
             cols = s.representative.columns
             assert list(cols) == sorted(cols, reverse=True)
+            assert s.dissimilarity == dissimilarity(
+                s.representative.row1, s.representative.row2
+            )
             assert s.n_distinct == n_distinct(s.representative)
             assert s.n_distinct <= min(i, 2 * k)
             assert s.stabilizer_size == stabilizer_size(s.representative)
@@ -239,7 +205,7 @@ def test_catalog_classifies_every_pair():
 def test_state_from_matrix_round_trip():
     for k, i in [(2, 4), (3, 6), (1, 2)]:
         for s in enumerate_states(k, i):
-            assert state_from_matrix(s.canonical_matrix) == s
+            assert IdentityState(s.canonical_matrix) == s
 
 
 def test_state_from_matrix_rejects_noncanonical():
@@ -247,7 +213,7 @@ def test_state_from_matrix_rejects_noncanonical():
         s for s in enumerate_states(2, 4) if not s.is_symmetric
     )
     with pytest.raises(ValueError):
-        state_from_matrix(asym.canonical_matrix.transpose())
+        IdentityState(asym.canonical_matrix.transpose())
 
 
 def test_state_matrix_validation():
