@@ -21,13 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import inner_product
 from .enumeration import enumerate_states
 # state_probability is unused here but stays importable: bench/trace_child.py wraps it
 from .probability import state_distribution, state_probability  # noqa: F401
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,8 @@ def within_exceeds_between_fraction(p_rows: np.ndarray, q_rows: np.ndarray) -> f
     E[D(p, p)] > E[D(p, q)] unwinds to <p, q> > <p, p>: the p-draw matches
     a q-draw more readily than another p-draw.
     """
+    import numpy as np
+
     p_rows = np.asarray(p_rows, dtype=float)
     q_rows = np.asarray(q_rows, dtype=float)
     if p_rows.shape != q_rows.shape:
@@ -125,7 +129,8 @@ def _dirichlet_rows(rng, concentration: float, n_rows: int, n_cols: int):
         totals = raw.sum(axis=1, keepdims=True)
         bad = totals[:, 0] == 0.0
         rounds += 1
-    return raw / totals
+    raw /= totals
+    return raw
 
 
 def prevalence_experiment(
@@ -145,6 +150,8 @@ def prevalence_experiment(
         raise ValueError(
             f"concentration must be positive and finite, got {concentration}"
         )
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     p_rows = _dirichlet_rows(rng, concentration, n_trials, n_objects)
     q_rows = _dirichlet_rows(rng, concentration, n_trials, n_objects)

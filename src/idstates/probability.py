@@ -49,8 +49,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import DrawVector, PairMatrix
 from .enumeration import (
@@ -60,6 +59,9 @@ from .enumeration import (
     canonicalize,
     state_matrix,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _EXACT_TYPES = (int, Fraction)
 
@@ -97,7 +99,11 @@ class FrequencyVector:
             values = tuple(Fraction(v) for v in values)
             total = sum(values)
             if total != 1:
-                raise ValueError(f"frequencies sum to {total}, expected exactly 1")
+                # a long fraction can pass Python's limit on int-to-str digits
+                short = max(total.numerator.bit_length(),
+                            total.denominator.bit_length()) <= 64
+                shown = total if short else f"{'more' if total > 1 else 'less'} than 1"
+                raise ValueError(f"frequencies sum to {shown}, expected exactly 1")
         else:
             values = tuple(float(v) for v in values)
             total = math.fsum(values)
@@ -401,21 +407,23 @@ def state_distribution(draw_size: int, p, q) -> dict[StateMatrix, object]:
     }
 
 
-def _distinct_rows(draws: np.ndarray, radix: int):
-    """Index the distinct rows of a count matrix whose entries are < radix.
+def _distinct_rows(rows: np.ndarray, radix: int):
+    """Index the distinct rows of an integer matrix whose entries are < radix.
 
     Returns (first row of each distinct row, each row's distinct index).
     Rows are coded as mixed-radix int64, a chunk of columns at a time;
     before the code could pass 2^63 - 1 it is replaced by its index among
     the distinct codes so far.
     """
+    import numpy as np
+
     limit = int(np.iinfo(np.int64).max)
-    code = np.zeros(len(draws), dtype=np.int64)
+    code = np.zeros(len(rows), dtype=np.int64)
     bound = 1  # every code is below bound
     start = 0
-    while start < draws.shape[1]:
+    while start < rows.shape[1]:
         width = 0
-        while (start + width < draws.shape[1]
+        while (start + width < rows.shape[1]
                and bound * radix ** (width + 1) <= limit):
             width += 1
         if not width:
@@ -423,7 +431,7 @@ def _distinct_rows(draws: np.ndarray, radix: int):
             bound = int(code.max()) + 1
             continue
         digits = radix ** np.arange(width, dtype=np.int64)
-        code = code * radix**width + draws[:, start : start + width] @ digits
+        code = code * radix**width + rows[:, start : start + width] @ digits
         bound *= radix**width
         start += width
     _, first, index = np.unique(code, return_index=True, return_inverse=True)
@@ -436,11 +444,16 @@ def monte_carlo_state_distribution(
     """Empirical state frequencies from seeded sampling.
 
     Each sample draws K objects from p and K from q (as multinomial count
-    vectors via numpy's PCG64 generator) and classifies the pair by
-    canonical state matrix, once per distinct pair. Frequencies are exact
-    counts over n_samples, so they sum to exactly 1. Reproducible for a
-    fixed (seed, numpy version).
+    vectors via numpy's PCG64 generator). Object j of a sample is one
+    column (a, b) of its pair, coded as the matrix cell a * (K+1) + b.
+    Sorted, a sample's cells list its state matrix's columns, so samples
+    with equal sorted cells share a matrix; numpy counts each distinct
+    matrix, and only those are canonicalized. Frequencies are exact counts
+    over n_samples, so they sum to exactly 1. Reproducible for a fixed
+    (seed, numpy version).
     """
+    import numpy as np
+
     _check_freqs(p, q)
     if len(p) != n_objects:
         raise ValueError(f"frequencies cover {len(p)} objects, expected {n_objects}")
@@ -449,16 +462,23 @@ def monte_carlo_state_distribution(
     rng = np.random.default_rng(seed)
     pf = np.asarray([float(v) for v in p])
     qf = np.asarray([float(v) for v in q])
-    draws1 = rng.multinomial(draw_size, pf / pf.sum(), size=n_samples)
-    draws2 = rng.multinomial(draw_size, qf / qf.sum(), size=n_samples)
-    first1, index1 = _distinct_rows(draws1, draw_size + 1)
-    first2, index2 = _distinct_rows(draws2, draw_size + 1)
-    n2 = len(first2)
-    codes, counts = np.unique(index1 * n2 + index2, return_counts=True)
-    freq: dict[StateMatrix, Fraction] = {}
-    for code, count in zip(codes.tolist(), counts.tolist()):
-        g1 = tuple(draws1[first1[code // n2]].tolist())
-        g2 = tuple(draws2[first2[code % n2]].tolist())
-        key = canonicalize(state_matrix(PairMatrix(DrawVector(g1), DrawVector(g2))))
-        freq[key] = freq.get(key, Fraction(0)) + Fraction(count, n_samples)
-    return freq
+    side = draw_size + 1
+    area = side * side
+    # cells a * side + b, built in place from the p-draw's counts a
+    cells = rng.multinomial(draw_size, pf / pf.sum(), size=n_samples)
+    cells *= side
+    cells += rng.multinomial(draw_size, qf / qf.sum(), size=n_samples)
+    cells.sort(axis=1)
+    first, index = _distinct_rows(cells, area)
+    counts = np.bincount(index)
+    # flattened matrix of each distinct row: one bincount over row x cell
+    offsets = np.arange(len(first))[:, None] * area
+    matrices = np.bincount(
+        (offsets + cells[first]).ravel(), minlength=len(first) * area
+    ).reshape(len(first), area)
+    # a matrix and its transpose are one state
+    totals: dict[StateMatrix, int] = {}
+    for flat, count in zip(matrices.tolist(), counts.tolist()):
+        state = canonical_from_flat(tuple(flat), side)
+        totals[state] = totals.get(state, 0) + count
+    return {state: Fraction(count, n_samples) for state, count in totals.items()}

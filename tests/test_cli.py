@@ -5,9 +5,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -250,7 +255,8 @@ def test_byte_identical_reruns(capsys):
 
 # SHA-256 of stdout of fixed requests, each exiting 0. A change to any
 # byte of the state tables, count grid or reports shows here; simulate and
-# prevalence are left out because their output depends on the numpy version.
+# prevalence are in SAMPLING_OUTPUTS because their output depends on the
+# numpy version.
 GOLDEN_OUTPUTS = [
     ("count-table-k6",
      ["count-table", "--k", "6"],
@@ -295,6 +301,85 @@ def test_golden_output_digests(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Seeded simulate and prevalence stdout, pinned for the numpy release the
+# digests were recorded with: its generator streams may change in another.
+SAMPLING_NUMPY = "2.4.6"
+SAMPLING_OUTPUTS = [
+    ("simulate-k2-i4",
+     ["simulate", "--k", "2", "--i", "4", "--samples", "100000", "--seed", "11"],
+     "b18b16d58870c670c25ef7e5ffde2e511cc1f69df662c0a327f69c19b67074ff"),
+    ("simulate-k3-i6",
+     ["simulate", "--k", "3", "--i", "6", "--samples", "100000", "--seed", "12"],
+     "9d70bd17b23a56940a0aafe7ead160b760b413e337f87a74d24bd5682ac101ac"),
+    # about 55,000 distinct ordered pairs
+    ("simulate-k4-i8",
+     ["simulate", "--k", "4", "--i", "8", "--samples", "100000", "--seed", "13"],
+     "1dccb09f706650820d9c4e6943d5f4b0482b45d8d40284e4a0f407dddbfc1ac5"),
+    ("prevalence-i10",
+     ["prevalence", "--i", "10", "--seed", "14"],
+     "74dd007c08d7fc405daa080220657beb95b576edcb2c4c856eff5e44f31ad0a9"),
+    # about 120 of the first 1000 Gamma rows underflow to zero and are redrawn
+    ("prevalence-i3-redraw",
+     ["prevalence", "--i", "3", "--samples", "1000", "--seed", "3",
+      "--concentration", "0.001"],
+     "c95bac3fa461e641b7886829b56956f5e4a155f7108aad47314813f233f91a8e"),
+]
+
+
+@pytest.mark.skipif(numpy.__version__ != SAMPLING_NUMPY,
+                    reason=f"sampling digests are for numpy {SAMPLING_NUMPY}")
+@pytest.mark.parametrize(
+    "argv, digest",
+    [case[1:] for case in SAMPLING_OUTPUTS],
+    ids=[case[0] for case in SAMPLING_OUTPUTS],
+)
+def test_sampling_output_digests(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+NUMPY_PROBE = """
+import contextlib, io, sys
+import idstates
+from idstates import cli
+
+def loaded_after(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    print(argv[0], code, "numpy" in sys.modules)
+
+print("import", 0, "numpy" in sys.modules)
+for argv in [
+    ["count-table", "--k", "3"],
+    ["enumerate", "--k", "2", "--i", "4"],
+    ["enumerate", "--k", "2", "--i", "4", "--format", "records"],
+    ["enumerate", "--k", "2", "--i", "4", "--format", "csv"],
+    ["probabilities", "--k", "2", "--i", "3", "--p", "1/2,1/4,1/4"],
+    ["probabilities", "--k", "2", "--i", "3", "--p", "0.5,0.25,0.25"],
+    ["expectation", "--p", "1/2,1/2", "--q", "1/4,3/4"],
+    ["oracle-check", "--k", "2", "--i", "3"],
+    ["simulate", "--k", "2", "--i", "3", "--samples", "100"],
+]:
+    loaded_after(argv)
+"""
+
+
+def test_only_sampling_loads_numpy():
+    # a fresh interpreter: this one already has numpy loaded
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert len(lines) == 10
+    for command, code, loaded in lines:
+        assert code == "0", command
+        assert loaded == str(command == "simulate"), command
 
 
 def test_inline_frequency_length_mismatch(capsys):
@@ -356,6 +441,17 @@ def test_huge_decimal_frequency_exits_one_line(capsys, tmp_path):
         result = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1.0, argv
         assert_one_error_line(*result)
+
+
+def test_rational_sum_message_survives_long_fractions(capsys):
+    # the sum 1 + 10^-4300 has more digits than Python will print
+    for p, word in [("1e-4300,1", "more"), ("1e-4300,1/2", "less")]:
+        result = run_cli(capsys, "expectation", "--mode", "rational", "--p", p)
+        assert_one_error_line(*result)
+        assert f"sum to {word} than 1, expected exactly 1" in result[2]
+    result = run_cli(capsys, "expectation", "--p", "1/3,1/3")
+    assert_one_error_line(*result)
+    assert "sum to 2/3, expected exactly 1" in result[2]
 
 
 def test_memory_error_exits_one_line(capsys, monkeypatch):

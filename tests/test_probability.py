@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import time
+import typing
 from fractions import Fraction
 
 import numpy as np
@@ -444,6 +446,38 @@ def test_monte_carlo_matches_unique_rows_reference():
             got = monte_carlo_state_distribution(k, i, p, q, n_samples, seed)
             want = unique_rows_reference(k, i, p, q, n_samples, seed)
             assert got == want
+
+
+def test_monte_carlo_matches_reference_many_pairs():
+    # many distinct pairs (K=4, I=8), fewer objects than 2K, one object,
+    # and zeros on both sides
+    rng = random.Random(62)
+    for k, i, n_samples in [(4, 8, 2000), (3, 2, 500), (1, 1, 50), (5, 3, 800)]:
+        p = random_rational_vector(rng, i, force_zeros=i // 3)
+        q = random_rational_vector(rng, i, force_zeros=i // 2)
+        for seed in (1, 77):
+            got = monte_carlo_state_distribution(k, i, p, q, n_samples, seed)
+            assert got == unique_rows_reference(k, i, p, q, n_samples, seed)
+
+
+def test_monte_carlo_many_pairs_within_time():
+    # about 10^5 distinct ordered pairs; 0.2 s measured, 4.9 s when each
+    # distinct pair (not each distinct matrix) is canonicalized in Python
+    u = FrequencyVector.uniform(12, exact=False)
+    start = time.perf_counter()
+    freq = monte_carlo_state_distribution(6, 12, u, u, n_samples=10**5, seed=1)
+    assert time.perf_counter() - start < 2.0
+    assert sum(freq.values()) == 1
+
+
+def test_numpy_annotations_resolve():
+    # numpy is imported for type checkers only, so it is supplied here
+    from idstates.expectation import within_exceeds_between_fraction
+    from idstates.probability import _distinct_rows
+
+    for fn in (_distinct_rows, within_exceeds_between_fraction):
+        hints = typing.get_type_hints(fn, localns={"np": np})
+        assert np.ndarray in hints.values()
 
 
 def test_state_distribution_argument_checks():
