@@ -26,7 +26,9 @@ with --mode.
 
 The parser built by build_parser is the one table of which command takes
 which flag and of every flag's default; handlers read the parsed
-namespace directly.
+namespace directly. A command takes a flag only if it reads it (in its
+handler, _validate or _frequencies), so any other flag is a usage error.
+A flag given an empty value counts as given.
 """
 
 from __future__ import annotations
@@ -89,13 +91,12 @@ def _validate(args: argparse.Namespace) -> argparse.Namespace:
     if hasattr(args, "i") and (args.i is None or args.i < 1):
         raise ValueError("--i must be a positive integer")
     if hasattr(args, "p"):
-        if args.q and not args.p:
+        if args.q is not None and args.p is None:
             raise ValueError("--q needs --p")
-        if args.freq and args.p:
+        if args.freq is not None and args.p is not None:
             raise ValueError("give either --freq or --p/--q, not both")
-        if args.command in ("probabilities", "expectation") and not (
-            args.freq or args.p
-        ):
+        if (args.command in ("probabilities", "expectation")
+                and args.freq is None and args.p is None):
             raise ValueError(f"{args.command} requires --freq or --p")
     return args
 
@@ -108,21 +109,24 @@ config_from_args = _validate
 def _frequencies(args: argparse.Namespace, default_uniform: bool = False):
     """Resolve (p, q) from the arguments, or None when absent and no default asked.
 
-    Auto mode is decided once over the p and q values together.
+    Auto mode is decided once over the p and q values together. Commands
+    that take --i need frequencies over exactly that many objects.
     """
-    if args.freq:
-        return parse_frequency_file(args.freq, args.mode)
-    if args.p:
+    if args.freq is not None:
+        p, q = parse_frequency_file(args.freq, args.mode)
+    elif args.p is not None:
         p_tokens = args.p.split(",")
-        q_tokens = args.q.split(",") if args.q else []
+        q_tokens = [] if args.q is None else args.q.split(",")
         mode = numeric_mode(p_tokens + q_tokens, args.mode)
         p = parse_frequency_values(p_tokens, mode)
         q = parse_frequency_values(q_tokens, mode) if q_tokens else p
-        return p, q
-    if default_uniform:
-        p = FrequencyVector.uniform(args.i, exact=args.mode != "float")
-        return p, p
-    return None
+    elif default_uniform:
+        p = q = FrequencyVector.uniform(args.i, exact=args.mode != "float")
+    else:
+        return None
+    if hasattr(args, "i") and len(p) != args.i:
+        raise ValueError(f"frequencies cover {len(p)} objects but --i is {args.i}")
+    return p, q
 
 
 def _random_rational_vector(rng, n_objects: int) -> FrequencyVector:
@@ -136,17 +140,11 @@ def _random_rational_vector(rng, n_objects: int) -> FrequencyVector:
             )
 
 
-def _check_lengths(p, args: argparse.Namespace):
-    if len(p) != args.i:
-        raise ValueError(f"frequencies cover {len(p)} objects but --i is {args.i}")
-
-
 def _state_table(args: argparse.Namespace, freqs) -> StateTable:
     states = enumerate_states(args.k, args.i)
     if freqs is None:
         return StateTable(args.k, args.i, states)
     p, q = freqs
-    _check_lengths(p, args)
     exact = p.exact and q.exact
     dist = state_distribution(args.k, p, q)
     zero = Fraction(0) if exact else 0.0
@@ -200,7 +198,6 @@ def cmd_oracle_check(args: argparse.Namespace) -> tuple[str, int]:
         q = _random_rational_vector(rng, args.i)
     else:
         p, q = freqs
-    _check_lengths(p, args)
     exact = p.exact and q.exact
     # run the oracle first so its size guard fires before the closed-form
     # evaluation (whose injective sums grow with the same inputs)
@@ -251,7 +248,6 @@ def cmd_oracle_check(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[str, int]:
     p, q = _frequencies(args, default_uniform=True)
-    _check_lengths(p, args)
     states = enumerate_states(args.k, args.i)
     dist = state_distribution(args.k, p, q)
     empirical = monte_carlo_state_distribution(
@@ -309,53 +305,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, *, k=False, i=False, freq=False,
-            samples=False):
+    def add(name, handler, help_text, *, k=None, k_default=None, i=False,
+            freq=False, samples=False, seed=False, fmt=True):
+        """One command; k is the help text of its --k, which brings --force."""
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(handler=handler)
         if k:
-            sp.add_argument("--k", type=int, help="draw size (items per draw)")
+            sp.add_argument("--k", type=int, default=k_default, help=k)
         if i:
             sp.add_argument("--i", type=int, help="number of distinct objects")
         if freq:
             sp.add_argument("--freq", help="frequency file (object_id,p[,q])")
             sp.add_argument("--p", help="inline frequencies, comma-separated")
             sp.add_argument("--q", help="inline second frequencies")
+            sp.add_argument("--mode", choices=("auto", "rational", "float"),
+                            default="auto", help="numeric mode")
         if samples:
             sp.add_argument("--samples", type=int, default=100000,
                             help="sample/trial count")
-        sp.add_argument("--mode", choices=("auto", "rational", "float"),
-                        default="auto", help="numeric mode")
-        sp.add_argument("--seed", type=int, default=0, help="RNG seed")
-        sp.add_argument("--format", choices=("table", "records", "csv"),
-                        default="table", help="output form")
+        if seed:
+            sp.add_argument("--seed", type=int, default=0, help="RNG seed")
+        if fmt:
+            sp.add_argument("--format", choices=("table", "records", "csv"),
+                            default="table", help="output form")
         sp.add_argument("--out", help="write output to this path")
-        sp.add_argument("--force", action="store_true",
-                        help="override size guards")
+        if k:
+            sp.add_argument("--force", action="store_true",
+                            help="override size guards")
         return sp
 
+    draw = "draw size (items per draw)"
     add("enumerate", cmd_enumerate, "identity-state table for one (K, I)",
-        k=True, i=True, freq=True)
-    ct = add("count-table", cmd_count_table, "state-count grid for K=1..K_max")
-    ct.add_argument("--k", type=int, default=6, help="largest draw size K_max")
+        k=draw, i=True, freq=True)
+    ct = add("count-table", cmd_count_table, "state-count grid for K=1..K_max",
+             k="largest draw size K_max", k_default=6)
     ct.add_argument("--paper-layout", action="store_true",
                     help="blank plateau cells (I > 2K) instead of marking them")
     add("probabilities", cmd_enumerate,
         "state table with probabilities (frequencies required)",
-        k=True, i=True, freq=True)
-    ex = add("expectation", cmd_expectation, "expected-dissimilarity report",
-             freq=True)
-    ex.add_argument("--k", type=int, default=2,
-                    help="draw size for the state-sum cross-check")
+        k=draw, i=True, freq=True)
+    add("expectation", cmd_expectation, "expected-dissimilarity report",
+        k="draw size for the state-sum cross-check", k_default=2, freq=True)
     oc = add("oracle-check", cmd_oracle_check, "closed form vs exhaustive oracle",
-             k=True, i=True, freq=True)
+             k=draw, i=True, freq=True, seed=True, fmt=False)
     oc.add_argument("--perturb", type=int, default=None, metavar="INDEX",
                     help="test hook: corrupt state INDEX before comparing")
     add("simulate", cmd_simulate,
         "closed form vs Monte Carlo (uniform p=q by default)",
-        k=True, i=True, freq=True, samples=True)
+        k=draw, i=True, freq=True, samples=True, seed=True, fmt=False)
     pv = add("prevalence", cmd_prevalence, "Dirichlet within-vs-between experiment",
-             i=True, samples=True)
+             i=True, samples=True, seed=True)
     pv.add_argument("--concentration", type=float, default=1.0,
                     help="symmetric Dirichlet concentration")
     return parser
@@ -365,7 +364,7 @@ def main(argv=None) -> int:
     try:
         args = _validate(build_parser().parse_args(argv))
         output, code = args.handler(args)
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(output)
     except (ValueError, OSError, MemoryError) as err:
@@ -373,7 +372,7 @@ def main(argv=None) -> int:
         message = " ".join(str(err).splitlines()) or type(err).__name__
         print(f"error: {message}", file=sys.stderr)
         return 1
-    if not args.out:
+    if args.out is None:
         sys.stdout.write(output)
     return code
 

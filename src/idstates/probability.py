@@ -116,23 +116,6 @@ class FrequencyVector:
         object.__setattr__(self, "entries", values)
 
     @classmethod
-    def from_values(cls, values, mode: str = "auto") -> "FrequencyVector":
-        """Build a vector; mode is "rational", "float", or "auto".
-
-        Auto picks rational exactly when every entry is an int/Fraction.
-        """
-        values = tuple(values)
-        if mode == "auto":
-            exact = _is_exact(values)
-        elif mode == "rational":
-            exact = True
-        elif mode == "float":
-            exact = False
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        return cls(values, exact)
-
-    @classmethod
     def uniform(cls, n_objects: int, exact: bool = True) -> "FrequencyVector":
         if n_objects < 1:
             raise ValueError("need at least one object")

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -40,6 +41,17 @@ def assert_one_error_line(code, out, err):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "usage:" not in err and "Traceback" not in err
+
+
+def parser_options():
+    """Each command's options (first spelling, -h left out), read from the parser."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: [a.option_strings[0] for a in parser._actions
+               if a.option_strings and a.option_strings[0] != "-h"]
+        for name, parser in sub.choices.items()
+    }
 
 
 def test_enumerate_basic(capsys):
@@ -412,9 +424,56 @@ def test_freq_and_inline_conflict(capsys, tmp_path):
     [],
     ["enumerate", "--k", "2", "--i", "3", "--format", "xml"],
     ["enumerate", "--k", "2", "--i", "3", "stray\nargument"],
+    # flags a command does not read are usage errors
+    ["simulate", "--k", "2", "--i", "2", "--format", "csv"],
+    ["oracle-check", "--k", "2", "--i", "2", "--format", "records"],
+    ["prevalence", "--i", "2", "--mode", "rational"],
+    ["prevalence", "--i", "2", "--force"],
+    ["count-table", "--k", "2", "--seed", "5"],
+    # an empty value counts as given
+    ["enumerate", "--k", "2", "--i", "2", "--p", ""],
+    ["enumerate", "--k", "2", "--i", "2", "--out", ""],
+    ["enumerate", "--k", "2", "--i", "2", "--freq", ""],
+    ["simulate", "--k", "2", "--i", "2", "--p", ""],
+    ["expectation", "--p", "1/2,1/2", "--q", ""],
 ])
 def test_usage_errors_exit_one_line(capsys, argv):
     assert_one_error_line(*run_cli(capsys, *argv))
+
+
+FREQUENCY_FLAGS = ["--freq", "--p", "--q", "--mode"]
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    expected = {
+        "enumerate": ["--k", "--i", *FREQUENCY_FLAGS, "--format", "--out", "--force"],
+        "count-table": ["--k", "--paper-layout", "--format", "--out", "--force"],
+        "probabilities": ["--k", "--i", *FREQUENCY_FLAGS, "--format", "--out", "--force"],
+        "expectation": ["--k", *FREQUENCY_FLAGS, "--format", "--out", "--force"],
+        "oracle-check": ["--k", "--i", *FREQUENCY_FLAGS, "--seed", "--perturb",
+                         "--out", "--force"],
+        "simulate": ["--k", "--i", *FREQUENCY_FLAGS, "--samples", "--seed",
+                     "--out", "--force"],
+        "prevalence": ["--i", "--samples", "--seed", "--concentration", "--format",
+                       "--out"],
+    }
+    options = parser_options()
+    assert {name: sorted(opts) for name, opts in options.items()} == {
+        name: sorted(opts) for name, opts in expected.items()}
+    assert sum(map(len, options.values())) == 57
+
+
+def test_readme_flag_table_matches_parser():
+    """README's per-command flag table lists exactly the parser's options."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = {}
+    for line in readme.splitlines():
+        cells = line.split("|")
+        if len(cells) == 4 and cells[1].strip().startswith("`"):
+            flags = sorted(re.findall(r"`(--[a-z-]+)", cells[2]))
+            for command in re.findall(r"`([a-z-]+)`", cells[1]):
+                documented[command] = flags
+    assert documented == {name: sorted(opts) for name, opts in parser_options().items()}
 
 
 def test_help_exits_zero(capsys):
@@ -488,13 +547,8 @@ ODD_TOKENS = ["abc", "1e400", "inf", "nan", "-1", "1/0", ",,", "1e-300", "", "0"
 
 def _options_by_command():
     """Each command's value-taking options and flags, read from the parser."""
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return {
-        name: [a.option_strings[0] for a in parser._actions
-               if a.option_strings and a.option_strings[0] not in ("-h", "--out", "--freq")]
-        for name, parser in sub.choices.items()
-    }
+    return {name: [opt for opt in opts if opt not in ("--out", "--freq")]
+            for name, opts in parser_options().items()}
 
 
 OPTIONS = _options_by_command()

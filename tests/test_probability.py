@@ -98,21 +98,21 @@ def test_stabilizer_randomized_against_oracle():
 
 
 def test_frequency_vector_modes():
-    v = FrequencyVector.from_values((Fraction(1, 3), Fraction(2, 3)))
+    v = FrequencyVector((Fraction(1, 3), Fraction(2, 3)), True)
     assert v.exact and sum(v) == 1
-    f = FrequencyVector.from_values((0.3, 0.7))
+    f = FrequencyVector((0.3, 0.7), False)
     assert not f.exact
     with pytest.raises(ValueError):
-        FrequencyVector.from_values((0.5, 0.6))  # off by 0.1 > 1e-9
+        FrequencyVector((0.5, 0.6), False)  # off by 0.1 > 1e-9
     with pytest.raises(ValueError):
-        FrequencyVector.from_values((Fraction(1, 2), Fraction(1, 3)))
+        FrequencyVector((Fraction(1, 2), Fraction(1, 3)), True)
     with pytest.raises(ValueError):
-        FrequencyVector.from_values((Fraction(3, 2), Fraction(-1, 2)))
+        FrequencyVector((Fraction(3, 2), Fraction(-1, 2)), True)
     with pytest.raises(ValueError):
-        FrequencyVector.from_values((0.8, 0.2), mode="rational")  # floats not exact
+        FrequencyVector((0.8, 0.2), True)  # floats not exact
     with pytest.raises(ValueError):
-        FrequencyVector.from_values(())
-    drift = FrequencyVector.from_values((0.1,) * 10)
+        FrequencyVector((), True)
+    drift = FrequencyVector((0.1,) * 10, False)
     assert math.fsum(drift.entries) == 1.0
     assert FrequencyVector.uniform(4).entries == (Fraction(1, 4),) * 4
 
