@@ -18,7 +18,6 @@ from .enumeration import (
     StateMatrix,
     canonicalize,
     enumerate_states,
-    n_distinct,
     state_count,
     state_matrix,
 )
@@ -36,8 +35,6 @@ from .probability import (
     monte_carlo_state_distribution,
     multinomial,
     ordered_pair_probability,
-    row_signature,
-    stabilizer_size,
     state_distribution,
     state_probability,
 )
@@ -64,12 +61,9 @@ __all__ = [
     "inner_product",
     "monte_carlo_state_distribution",
     "multinomial",
-    "n_distinct",
     "ordered_pair_probability",
     "parse_frequency_file",
     "prevalence_experiment",
-    "row_signature",
-    "stabilizer_size",
     "state_count",
     "state_distribution",
     "state_matrix",

@@ -185,7 +185,7 @@ def cmd_expectation(args: argparse.Namespace) -> tuple[str, int]:
         via_states = expected_dissimilarity_via_states(args.k, p, q)
         fields.append(("state_sum_draw_size", args.k))
         fields.append(("state_sum_matches", via_states == report.e_pq))
-    return write_fields(fields, args.format, exact), 0
+    return write_fields(fields, args.format), 0
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> tuple[str, int]:
@@ -293,7 +293,7 @@ def cmd_prevalence(args: argparse.Namespace) -> tuple[str, int]:
         ("ci95_low", max(0.0, center - half)),
         ("ci95_high", min(1.0, center + half)),
     ]
-    return write_fields(fields, args.format, exact=False), 0
+    return write_fields(fields, args.format), 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -181,11 +181,6 @@ def canonical_from_flat(flat: tuple[int, ...], side: int) -> StateMatrix:
     return _unflatten(_canonical_flat(flat, side), side)
 
 
-def n_distinct(pair: PairMatrix) -> int:
-    """Number of distinct objects appearing in the pair (nonzero columns)."""
-    return sum(1 for top, bottom in pair.columns if top or bottom)
-
-
 @lru_cache(maxsize=None)
 def _canonical_flat_keys(draw_size: int) -> tuple[tuple[int, ...], ...]:
     """Sorted flattened canonical matrices at I = 2K (the full catalog).

@@ -112,9 +112,18 @@ DIRICHLET_ROUNDS = 100
 
 
 def _dirichlet_rows(rng, concentration: float, n_rows: int, n_cols: int):
+    import numpy as np
+
     # symmetric Dirichlet via the normalized-Gamma construction
     raw = rng.gamma(shape=concentration, scale=1.0, size=(n_rows, n_cols))
-    totals = raw.sum(axis=1, keepdims=True)
+    # Gamma draws near the float maximum overflow their row sum to inf,
+    # and the normalized rows would be NaN
+    with np.errstate(over="ignore"):
+        totals = raw.sum(axis=1, keepdims=True)
+    if not np.isfinite(totals).all():
+        raise ValueError(
+            f"concentration {concentration} is too large: Gamma row sums overflow"
+        )
     # zero rows have measure zero, but Gamma draws underflow at tiny
     # concentrations: redraw them, a bounded number of times
     bad = totals[:, 0] == 0.0

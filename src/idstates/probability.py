@@ -159,34 +159,6 @@ def multinomial(total: int, parts) -> int:
     return out
 
 
-def row_signature(g: DrawVector) -> tuple[int, ...]:
-    """Length-(K+1) value histogram of a draw: entry v counts positions equal to v.
-
-    Two draws have equal signatures exactly when one is a position
-    permutation of the other.
-    """
-    sig = [0] * (g.draw_size + 1)
-    for c in g.counts:
-        sig[c] += 1
-    return tuple(sig)
-
-
-def stabilizer_size(pair: PairMatrix) -> int:
-    """Number of permutations of the nonzero columns that fix the pair.
-
-    Equal columns are interchangeable, so this is the product of
-    factorials of the equal-column class sizes.
-    """
-    classes = {}
-    for col in pair.columns:
-        if col != (0, 0):
-            classes[col] = classes.get(col, 0) + 1
-    out = 1
-    for count in classes.values():
-        out *= math.factorial(count)
-    return out
-
-
 def _check_freqs(p, q):
     if len(p) != len(q):
         raise ValueError(f"frequency length mismatch: {len(p)} vs {len(q)}")

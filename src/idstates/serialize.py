@@ -1,18 +1,19 @@
-"""File formats: state tables, count grids, frequency inputs.
+"""File formats: state tables, count grids, reports, frequency inputs.
 
-Three interchangeable output forms for state tables:
-
-  text     human-readable aligned columns, one state per line, '#' headers
-  records  JSON lines, one object per state
-  csv      comma-separated with header row
-
-Structured records carry, per state: index, k, i, rep_row1, rep_row2,
-m (row-major canonical matrix), d (as "num/K^2"), n_distinct,
-stabilizer_size, is_symmetric, row_equiv, row_equal, and optionally a
-probability. Rational values serialize as "a/b" strings accompanied by a
-float companion field; floats render with 12 significant digits. The
-records and csv forms parse back losslessly (canonical matrices and
-rational values identical).
+Each output has three forms: table (aligned text), records (JSON lines,
+one object per state, grid cell or report) and csv (with a header row).
+One schema lists a state's fields in order, with typed values: index, k,
+i, rep_row1, rep_row2, m (row-major canonical matrix), d (as "num/K^2"),
+n_distinct, stabilizer_size, is_symmetric, row_equiv, row_equal and,
+given frequencies, probability. One renderer writes these, the count
+grid and the key/value reports (expectation, prevalence) under two cell
+conventions. In records and the state and grid csv, booleans are
+true/false and an exact value (d, a rational probability or report
+value) is an "a/b" string plus a name_float companion field. In the
+table forms and the key/value csv, booleans are yes/no and an exact
+value is its "a/b" text alone, with no companion column. Floats have 12
+significant digits. The records and csv forms of a state table parse
+back losslessly (canonical matrices and rational values identical).
 
 Frequency input files are UTF-8, comma- or tab-delimited, with an
 optional ``object_id,p[,q]`` header; values are decimals or "a/b"
@@ -29,25 +30,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DrawVector, PairMatrix
+from .core import DissimilarityValue, DrawVector, PairMatrix
 from .enumeration import IdentityState, StateMatrix
 from .probability import FrequencyVector
-
-STATE_FIELDS = [
-    "index",
-    "k",
-    "i",
-    "rep_row1",
-    "rep_row2",
-    "m",
-    "d",
-    "d_float",
-    "n_distinct",
-    "stabilizer_size",
-    "is_symmetric",
-    "row_equiv",
-    "row_equal",
-]
 
 
 def format_exact(x) -> str:
@@ -120,112 +105,123 @@ class StateTable:
     exact: bool = True
 
 
-def _state_record(table: StateTable, idx: int) -> dict:
+# The two cell conventions (module docstring), as (true text, false text).
+_TRUE_FALSE = ("true", "false")
+_YES_NO = ("yes", "no")
+
+
+def _cell(value, booleans: tuple[str, str]) -> str:
+    """The one cell renderer: a typed value as its table or csv text."""
+    kind = type(value)
+    if kind is tuple:  # counts; an int's repr is its str, and cheaper to call
+        return " ".join(map(repr, value))
+    if kind is bool:
+        return booleans[0] if value else booleans[1]
+    if kind is float:
+        return format_float(value)
+    if kind is Fraction:
+        return format_exact(value)
+    return str(value)
+
+
+def _json_record(fields) -> dict:
+    """The one JSON-record rule: an exact value gives its "a/b" text plus a
+    name_float companion, a float is rounded to 12 significant digits."""
+    rec = {}
+    for name, value in fields:
+        kind = type(value)
+        if kind is Fraction or kind is DissimilarityValue:
+            rec[name] = _cell(value, _TRUE_FALSE)
+            rec[name + "_float"] = rounded_float(value)
+        elif kind is float:
+            rec[name] = rounded_float(value)
+        else:
+            rec[name] = value
+    return rec
+
+
+def _align(rows, right: bool = False) -> list[str]:
+    """The one column aligner: columns two spaces apart, trailing spaces
+    stripped; all left-justified, or all but the first right-justified."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    pads = [str.ljust] + [str.rjust if right else str.ljust] * (len(widths) - 1)
+    return ["  ".join([pad(cell, w) for pad, cell, w in zip(pads, row, widths)]).rstrip()
+            for row in rows]
+
+
+# json.dumps's encoder without its reference-cycle check: records are flat.
+_JSON = json.JSONEncoder(check_circular=False)
+
+
+def _write(fmt: str, records, table, csv_rows=None) -> str:
+    """The one dispatch on the output form. table() and records() are called
+    only for the forms that use them; csv is the records' cells (true/false)
+    under their keys, or csv_rows when given."""
+    if fmt == "table":
+        return table()
+    if fmt == "records":
+        return "\n".join(map(_JSON.encode, records())) + "\n"
+    if fmt != "csv":
+        raise ValueError(f"unknown format {fmt!r}")
+    if csv_rows is None:
+        recs = records()
+        csv_rows = [list(recs[0]),
+                    *([_cell(v, _TRUE_FALSE) for v in rec.values()] for rec in recs)]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(csv_rows)
+    return buf.getvalue()
+
+
+def _state_fields(table: StateTable, idx: int) -> dict[str, object]:
+    """The one schema: state idx's fields, in order, with their typed values."""
     state = table.states[idx]
-    rec = {
-        "index": idx,
-        "k": table.draw_size,
-        "i": table.n_objects,
-        "rep_row1": list(state.representative.row1.counts),
-        "rep_row2": list(state.representative.row2.counts),
-        "m": list(state.canonical_matrix.flattened),
-        "d": str(state.dissimilarity),
-        "d_float": rounded_float(float(state.dissimilarity)),
-        "n_distinct": state.n_distinct,
-        "stabilizer_size": state.stabilizer_size,
-        "is_symmetric": state.is_symmetric,
-        "row_equiv": state.row_equiv,
+    rep = state.representative
+    fields = {
+        "index": idx, "k": table.draw_size, "i": table.n_objects,
+        "rep_row1": rep.row1.counts, "rep_row2": rep.row2.counts,
+        "m": state.canonical_matrix.flattened, "d": state.dissimilarity,
+        "n_distinct": state.n_distinct, "stabilizer_size": state.stabilizer_size,
+        "is_symmetric": state.is_symmetric, "row_equiv": state.row_equiv,
         "row_equal": state.row_equal,
     }
     if table.probabilities is not None:
         prob = table.probabilities[idx]
-        if table.exact:
-            rec["probability"] = format_exact(prob)
-            rec["probability_float"] = rounded_float(prob)
-        else:
-            rec["probability"] = rounded_float(prob)
-    return rec
+        if not table.exact:
+            prob = float(prob)
+        elif type(prob) is not Fraction:  # Fraction(prob) costs a microsecond
+            prob = Fraction(prob)
+        fields["probability"] = prob
+    return fields
 
 
 def state_records(table: StateTable) -> list[dict]:
-    return [_state_record(table, idx) for idx in range(len(table.states))]
+    return [_json_record(_state_fields(table, idx).items())
+            for idx in range(len(table.states))]
 
 
-def write_state_records(table: StateTable) -> str:
-    return "\n".join(json.dumps(rec) for rec in state_records(table)) + "\n"
-
-
-def write_state_csv(table: StateTable) -> str:
-    records = state_records(table)
-    fields = list(STATE_FIELDS)
-    if table.probabilities is not None:
-        fields.append("probability")
-        if table.exact:
-            fields.append("probability_float")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    for rec in records:
-        row = []
-        for field in fields:
-            value = rec[field]
-            if isinstance(value, list):
-                row.append(" ".join(str(v) for v in value))
-            elif isinstance(value, bool):
-                row.append("true" if value else "false")
-            elif isinstance(value, float):
-                row.append(format_float(value))
-            else:
-                row.append(str(value))
-        writer.writerow(row)
-    return buf.getvalue()
+# The text table's heading for each state field it shows, in column order.
+_TEXT_HEADINGS = {
+    "index": "index", "rep_row1": "row1", "rep_row2": "row2", "d": "D",
+    "n_distinct": "N", "stabilizer_size": "stab", "is_symmetric": "sym",
+    "row_equiv": "row~", "row_equal": "row=", "probability": "probability",
+    "m": "M(row-major)",
+}
 
 
 def write_state_text(table: StateTable) -> str:
-    header = [
-        "# identity states",
-        f"# draw_size={table.draw_size} n_objects={table.n_objects} "
-        f"states={len(table.states)}",
-    ]
-    cols = ["index", "row1", "row2", "D", "N", "stab", "sym", "row~", "row="]
-    if table.probabilities is not None:
-        cols.append("probability")
-    cols.append("M(row-major)")
-    rows = []
-    for idx, state in enumerate(table.states):
-        row = [
-            str(idx),
-            " ".join(map(str, state.representative.row1.counts)),
-            " ".join(map(str, state.representative.row2.counts)),
-            str(state.dissimilarity),
-            str(state.n_distinct),
-            str(state.stabilizer_size),
-            "yes" if state.is_symmetric else "no",
-            "yes" if state.row_equiv else "no",
-            "yes" if state.row_equal else "no",
-        ]
-        if table.probabilities is not None:
-            prob = table.probabilities[idx]
-            row.append(format_exact(prob) if table.exact else format_float(prob))
-        row.append(" ".join(map(str, state.canonical_matrix.flattened)))
-        rows.append(row)
-    widths = [max(len(cols[c]), *(len(r[c]) for r in rows)) if rows else len(cols[c])
-              for c in range(len(cols))]
-    lines = list(header)
-    lines.append("  ".join(name.ljust(w) for name, w in zip(cols, widths)).rstrip())
-    for row in rows:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+    shown = [name for name in _TEXT_HEADINGS
+             if name != "probability" or table.probabilities is not None]
+    rows = [[_TEXT_HEADINGS[name] for name in shown]]
+    for idx in range(len(table.states)):
+        fields = _state_fields(table, idx)
+        rows.append([_cell(fields[name], _YES_NO) for name in shown])
+    header = (f"# identity states\n# draw_size={table.draw_size} "
+              f"n_objects={table.n_objects} states={len(table.states)}")
+    return "\n".join([header, *_align(rows)]) + "\n"
 
 
 def write_state_table(table: StateTable, fmt: str) -> str:
-    if fmt == "table":
-        return write_state_text(table)
-    if fmt == "records":
-        return write_state_records(table)
-    if fmt == "csv":
-        return write_state_csv(table)
-    raise ValueError(f"unknown format {fmt!r}")
+    return _write(fmt, lambda: state_records(table), lambda: write_state_text(table))
 
 
 def _state_from_record(rec: dict) -> tuple[IdentityState, object]:
@@ -391,12 +387,8 @@ def parse_frequency_file(
     return p, q
 
 
-def write_count_grid(
-    counts: dict[tuple[int, int], int],
-    max_draw_size: int,
-    fmt: str,
-    paper_layout: bool = False,
-) -> str:
+def write_count_grid(counts: dict[tuple[int, int], int], max_draw_size: int,
+                     fmt: str, paper_layout: bool = False) -> str:
     """Identity-state count grid; rows are object counts, columns draw sizes.
 
     Cells with I > 2K repeat the I = 2K plateau value; they are marked
@@ -404,88 +396,32 @@ def write_count_grid(
     under paper_layout.
     """
     ks = range(1, max_draw_size + 1)
-    i_max = 2 * max_draw_size
-    cells = []
-    for i in range(1, i_max + 1):
-        for k in ks:
-            plateau = i > 2 * k
-            cells.append((k, i, counts[(k, i)], plateau))
-    if fmt == "records":
-        lines = [
-            json.dumps({"k": k, "i": i, "count": c, "plateau": plateau})
-            for k, i, c, plateau in cells
-            if not (paper_layout and plateau)
-        ]
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["k", "i", "count", "plateau"])
-        for k, i, c, plateau in cells:
-            if paper_layout and plateau:
-                continue
-            writer.writerow([k, i, c, "true" if plateau else "false"])
-        return buf.getvalue()
-    if fmt != "table":
-        raise ValueError(f"unknown format {fmt!r}")
-    header = ["# identity-state counts (rows: object count I, columns: draw size K)"]
-    if not paper_layout:
-        header.append("# '*' marks cells repeating the I=2K plateau value")
-    grid = {}
-    for k, i, c, plateau in cells:
-        if paper_layout and plateau:
-            grid[(k, i)] = ""
-        else:
-            grid[(k, i)] = f"{c}*" if plateau else str(c)
-    col_w = {
-        k: max(len(str(k)), *(len(grid[(k, i)]) for i in range(1, i_max + 1)))
-        for k in ks
-    }
-    label_w = max(len("I\\K"), len(str(i_max)))
-    lines = list(header)
-    lines.append(
-        "  ".join(["I\\K".ljust(label_w)] + [str(k).rjust(col_w[k]) for k in ks])
-    )
-    for i in range(1, i_max + 1):
-        lines.append(
-            "  ".join(
-                [str(i).ljust(label_w)] + [grid[(k, i)].rjust(col_w[k]) for k in ks]
-            ).rstrip()
-        )
-    return "\n".join(lines) + "\n"
+    i_range = range(1, 2 * max_draw_size + 1)
+
+    def records():
+        return [{"k": k, "i": i, "count": counts[(k, i)], "plateau": i > 2 * k}
+                for i in i_range for k in ks if not (paper_layout and i > 2 * k)]
+
+    def cell(k, i):
+        if i <= 2 * k:
+            return str(counts[(k, i)])
+        return "" if paper_layout else f"{counts[(k, i)]}*"
+
+    def table():
+        lines = ["# identity-state counts (rows: object count I, columns: draw size K)"]
+        if not paper_layout:
+            lines.append("# '*' marks cells repeating the I=2K plateau value")
+        rows = [["I\\K", *map(str, ks)]]
+        rows += [[str(i), *(cell(k, i) for k in ks)] for i in i_range]
+        return "\n".join(lines + _align(rows, right=True)) + "\n"
+
+    return _write(fmt, records, table)
 
 
-def write_fields(fields: list[tuple[str, object]], fmt: str, exact: bool) -> str:
+def write_fields(fields: list[tuple[str, object]], fmt: str) -> str:
     """Small key/value report (expectation, prevalence) in any output form."""
-
-    def render(v):
-        if isinstance(v, bool):
-            return "yes" if v else "no"
-        if isinstance(v, float):
-            return format_float(v)
-        if isinstance(v, Fraction):
-            return format_exact(v)
-        return str(v)
-
-    if fmt == "records":
-        obj = {}
-        for name, v in fields:
-            if isinstance(v, Fraction):
-                obj[name] = format_exact(v)
-                obj[name + "_float"] = rounded_float(v)
-            elif isinstance(v, float):
-                obj[name] = rounded_float(v)
-            else:
-                obj[name] = v
-        return json.dumps(obj) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([name for name, _ in fields])
-        writer.writerow([render(v) for _, v in fields])
-        return buf.getvalue()
-    if fmt != "table":
-        raise ValueError(f"unknown format {fmt!r}")
-    width = max(len(name) for name, _ in fields)
-    lines = [f"{name.ljust(width)}  {render(v)}" for name, v in fields]
-    return "\n".join(lines) + "\n"
+    names = [name for name, _ in fields]
+    cells = [_cell(value, _YES_NO) for _, value in fields]
+    return _write(fmt, lambda: [_json_record(fields)],
+                  lambda: "\n".join(_align(list(zip(names, cells)))) + "\n",
+                  csv_rows=[names, cells])

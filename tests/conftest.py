@@ -1,5 +1,6 @@
-"""Shared helpers: independent draw generators and rational vectors."""
+"""Shared helpers: independent draw generators, rational vectors and oracles."""
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import settings
@@ -52,3 +53,13 @@ def find_state(states, row1, row2):
         if state.canonical_matrix == key:
             return state
     raise AssertionError(f"no state found for pair {row1} / {row2}")
+
+
+def stabilizer_oracle(pair):
+    """Count column permutations (of nonzero columns) fixing the pair."""
+    cols = [c for c in pair.columns if c != (0, 0)]
+    return sum(
+        1
+        for perm in itertools.permutations(range(len(cols)))
+        if [cols[j] for j in perm] == cols
+    )

@@ -269,6 +269,9 @@ def test_byte_identical_reruns(capsys):
 # byte of the state tables, count grid or reports shows here; simulate and
 # prevalence are in SAMPLING_OUTPUTS because their output depends on the
 # numpy version.
+RATIONAL_PQ = ["--p", "1/2,1/4,1/8,1/8", "--q", "1/10,2/5,0,1/2"]
+FLOAT_PQ = ["--p", "0.3,0.2,0.1,0.1,0.1,0.1,0.05,0.05",
+            "--q", "0.125,0.125,0.125,0.125,0.2,0.1,0.2,0"]
 GOLDEN_OUTPUTS = [
     ("count-table-k6",
      ["count-table", "--k", "6"],
@@ -286,13 +289,10 @@ GOLDEN_OUTPUTS = [
      ["enumerate", "--k", "5", "--i", "8"],
      "ae147ac0f05d0b22af2c88653fbeb8955b9ca91dc276faf5e42ace1f176545c7"),
     ("probabilities-k3-i4-rational-records",
-     ["probabilities", "--k", "3", "--i", "4", "--p", "1/2,1/4,1/8,1/8",
-      "--q", "1/10,2/5,0,1/2", "--format", "records"],
+     ["probabilities", "--k", "3", "--i", "4", *RATIONAL_PQ, "--format", "records"],
      "8f414cafa5bf46dd4e6145d85e479f7c639135c1bf45e1dafab1347c7a2df289"),
     ("probabilities-k4-i8-float-csv",
-     ["probabilities", "--k", "4", "--i", "8",
-      "--p", "0.3,0.2,0.1,0.1,0.1,0.1,0.05,0.05",
-      "--q", "0.125,0.125,0.125,0.125,0.2,0.1,0.2,0", "--format", "csv"],
+     ["probabilities", "--k", "4", "--i", "8", *FLOAT_PQ, "--format", "csv"],
      "4eb9e530cd98f03e10e9303ffaddd29434b4373d197c6754000de80ff65dad2c"),
     ("expectation-rational-records",
      ["expectation", "--p", "1/2,1/3,1/6", "--q", "1/6,1/3,1/2",
@@ -301,6 +301,51 @@ GOLDEN_OUTPUTS = [
     ("oracle-check-k3-i4",
      ["oracle-check", "--k", "3", "--i", "4"],
      "abd7a00310a8888fb7fc5cb471fb310f8b714d7a8b6abb414786b5fd854450ee"),
+    ("count-table-k4-records",
+     ["count-table", "--k", "4", "--format", "records"],
+     "e4d843a3f3cfb1fc54c1e83092852a717cf15a32d9155d689c101cbd9faecb90"),
+    ("count-table-k4-csv",
+     ["count-table", "--k", "4", "--format", "csv"],
+     "b380b02c67f3ecf4c3e9146b2545cff08568ae1fa4c7497c1eaa99eb80be72ed"),
+    ("count-table-k4-paper-table",
+     ["count-table", "--k", "4", "--paper-layout"],
+     "2302d484aee1028f416a84bab53943a6720293c0d0e97f3558e327b16e12f67d"),
+    ("count-table-k4-paper-records",
+     ["count-table", "--k", "4", "--paper-layout", "--format", "records"],
+     "c928f7755e8f7968d4b84a4a742835a4089e3c2d04ce2b1eb4855477978228b9"),
+    ("count-table-k4-paper-csv",
+     ["count-table", "--k", "4", "--paper-layout", "--format", "csv"],
+     "55a1386aae13abe885f3af67d5008b3f5d0aeadec0dea680ba8b30d33d2f8b53"),
+    ("probabilities-k3-i4-rational-table",
+     ["probabilities", "--k", "3", "--i", "4", *RATIONAL_PQ],
+     "d2ccbcbf24f324d1f71137b57559420fd1ea3a19a7cba25f91cefab8591b704b"),
+    ("probabilities-k3-i4-rational-csv",
+     ["probabilities", "--k", "3", "--i", "4", *RATIONAL_PQ, "--format", "csv"],
+     "d99f3193ac52fec7b1277ac7df72b5dcc9fb1ff177fea8fc277b6c981aa2f1a2"),
+    ("probabilities-k4-i8-float-table",
+     ["probabilities", "--k", "4", "--i", "8", *FLOAT_PQ],
+     "88fa7531692ebdfd168efb480930ebf26585454e06a0692857eeaee686c1f9ed"),
+    ("probabilities-k4-i8-float-records",
+     ["probabilities", "--k", "4", "--i", "8", *FLOAT_PQ, "--format", "records"],
+     "38899e8b84641a7e7e7cfe41b2626b29d5065e5bd35a6d5961fc62b60fb55518"),
+    ("expectation-rational-csv",
+     ["expectation", "--p", "1/2,1/3,1/6", "--q", "1/6,1/3,1/2", "--format", "csv"],
+     "5334597306cafdcb3e8950af0ce7f01103ae83f91199ff094bcbd1fc88fca3f0"),
+    ("expectation-rational-table",
+     ["expectation", "--p", "1/2,1/3,1/6", "--q", "1/6,1/3,1/2"],
+     "a668ce1449799c1b618f3f73c18a6c7b2699dc68676f860bbe12d17732d1da7b"),
+    # <p, p> is 0.5399999999999999 in floats: the 12-digit rounding shows
+    ("expectation-float-table",
+     ["expectation", "--p", "0.7,0.2,0.1", "--q", "0.15,0.35,0.5"],
+     "986f4f1efe88e582819f4b9fa42e495afb9fd9a2cdd0233e253afb8b9a4708ea"),
+    ("expectation-float-records",
+     ["expectation", "--p", "0.7,0.2,0.1", "--q", "0.15,0.35,0.5",
+      "--format", "records"],
+     "221a8591b150367c08519594299197f8a96bf9f3597116ee2d5912513473a106"),
+    ("expectation-float-csv",
+     ["expectation", "--p", "0.7,0.2,0.1", "--q", "0.15,0.35,0.5",
+      "--format", "csv"],
+     "c02315c2b25098ed2eb760a74a83a37064ebaa50f0eb06208ce09ad8e48b9d41"),
 ]
 
 
@@ -337,6 +382,14 @@ SAMPLING_OUTPUTS = [
      ["prevalence", "--i", "3", "--samples", "1000", "--seed", "3",
       "--concentration", "0.001"],
      "c95bac3fa461e641b7886829b56956f5e4a155f7108aad47314813f233f91a8e"),
+    ("prevalence-i5-csv",
+     ["prevalence", "--i", "5", "--samples", "2000", "--seed", "15",
+      "--format", "csv"],
+     "8bd249c916354f06a725b9afcb0775cbfcc2b9c6764b6b40e654b4beea154a4d"),
+    ("prevalence-i5-records",
+     ["prevalence", "--i", "5", "--samples", "2000", "--seed", "15",
+      "--format", "records"],
+     "e9fa3e9e35a0dc914321298dd43c5e884ef1c79a1369f76730f3838b703ceed2"),
 ]
 
 
@@ -392,6 +445,42 @@ def test_only_sampling_loads_numpy():
     for command, code, loaded in lines:
         assert code == "0", command
         assert loaded == str(command == "simulate"), command
+
+
+# One request per command, with inputs at the edges of the float range; a
+# numpy or Python warning on any of them is turned into an error.
+QUIET_REQUESTS = [
+    ["count-table", "--k", "3"],
+    ["enumerate", "--k", "2", "--i", "3", "--format", "csv"],
+    ["probabilities", "--k", "2", "--i", "3", "--p", "1e-320,0.5,0.5"],
+    ["expectation", "--p", "1e-320,0.5,0.5", "--format", "records"],
+    ["oracle-check", "--k", "2", "--i", "3"],
+    ["simulate", "--k", "2", "--i", "3", "--samples", "100", "--p", "1e-320,0.5,0.5"],
+    ["simulate", "--k", "2", "--i", "3", "--samples", "100", "--p", "1,0,0"],
+    ["prevalence", "--i", "3", "--samples", "1000", "--seed", "3",
+     "--concentration", "0.001"],
+    ["prevalence", "--i", "3", "--samples", "100", "--concentration", "1e300"],
+]
+
+
+def run_warnings_as_errors(argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "idstates", *argv],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+
+
+def test_cli_writes_no_warnings():
+    for argv in QUIET_REQUESTS:
+        proc = run_warnings_as_errors(argv)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        assert proc.stdout
+    proc = run_warnings_as_errors(
+        ["prevalence", "--i", "2", "--samples", "5", "--concentration", "1e308"])
+    assert_one_error_line(proc.returncode, proc.stdout, proc.stderr)
+    assert "too large" in proc.stderr
 
 
 def test_inline_frequency_length_mismatch(capsys):
@@ -522,7 +611,7 @@ def test_memory_error_exits_one_line(capsys, monkeypatch):
         capsys, "simulate", "--k", "2", "--i", "3", "--samples", "100"))
 
 
-@pytest.mark.parametrize("concentration", ["inf", "1e-300"])
+@pytest.mark.parametrize("concentration", ["inf", "1e-300", "1e308"])
 def test_prevalence_concentration_out_of_reach(capsys, concentration):
     assert_one_error_line(*run_cli(
         capsys, "prevalence", "--i", "3", "--samples", "50",
@@ -542,7 +631,8 @@ def test_auto_mode_decided_over_p_and_q_together(capsys, tmp_path):
 
 # -- argv and frequency-file fuzz: exit 0, 1 or 2, never a traceback ---------
 
-ODD_TOKENS = ["abc", "1e400", "inf", "nan", "-1", "1/0", ",,", "1e-300", "", "0"]
+ODD_TOKENS = ["abc", "1e400", "inf", "nan", "-1", "1/0", ",,", "1e-300", "1e308",
+              "", "0"]
 
 
 def _options_by_command():

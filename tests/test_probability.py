@@ -15,14 +15,13 @@ from hypothesis import strategies as st
 from idstates import (
     DrawVector,
     FrequencyVector,
+    IdentityState,
     PairMatrix,
     brute_force_state_distribution,
     enumerate_states,
     monte_carlo_state_distribution,
     multinomial,
     ordered_pair_probability,
-    row_signature,
-    stabilizer_size,
     state_distribution,
     state_probability,
 )
@@ -34,6 +33,7 @@ from conftest import (
     find_state,
     random_draw,
     random_rational_vector,
+    stabilizer_oracle,
 )
 
 HALF = Fraction(1, 2)
@@ -61,29 +61,34 @@ def test_multinomial_validation():
         multinomial(2, [3, -1])
 
 
+def state_of(row1, row2):
+    return IdentityState(canonical_key(row1, row2))
+
+
 def test_row_signature_examples():
-    assert row_signature(DrawVector((2, 0, 0, 0))) == (3, 0, 1)
-    assert row_signature(DrawVector((1, 1, 0, 0))) == (2, 2, 0)
-    assert row_signature(DrawVector((2, 1, 0, 0, 0, 0))) == (4, 1, 1, 0)
-
-
-def stabilizer_oracle(pair):
-    """Count column permutations (of nonzero columns) fixing the pair."""
-    cols = [c for c in pair.columns if c != (0, 0)]
-    return sum(
-        1
-        for perm in itertools.permutations(range(len(cols)))
-        if [cols[j] for j in perm] == cols
-    )
+    # row_equiv holds when the rows have the same value histogram (row
+    # signature): one row is a position permutation of the other
+    assert not state_of((2, 0, 0, 0), (1, 1, 0, 0)).row_equiv
+    assert state_of((2, 0, 0, 0), (0, 0, 2, 0)).row_equiv
+    assert state_of((1, 1, 0, 0), (0, 1, 0, 1)).row_equiv
+    assert not state_of((2, 1, 0, 0, 0, 0), (1, 1, 1, 0, 0, 0)).row_equiv
+    equiv_not_symmetric = state_of((2, 1, 0), (1, 0, 2))
+    assert equiv_not_symmetric.row_equiv and not equiv_not_symmetric.is_symmetric
+    rng = random.Random(56)
+    for _ in range(100):
+        k, n = rng.randrange(1, 4), rng.randrange(1, 6)
+        a, b = random_draw(rng, k, n), random_draw(rng, k, n)
+        assert state_of(a, b).row_equiv == (sorted(a) == sorted(b))
 
 
 def test_stabilizer_examples():
-    pair = PairMatrix(DrawVector((1, 1, 0, 0)), DrawVector((0, 0, 1, 1)))
-    assert stabilizer_size(pair) == stabilizer_oracle(pair) == 4
-    distinct = PairMatrix(DrawVector((2, 1, 0)), DrawVector((1, 1, 1)))
-    assert stabilizer_size(distinct) == stabilizer_oracle(distinct) == 1
-    single = PairMatrix(DrawVector((2, 0)), DrawVector((2, 0)))
-    assert stabilizer_size(single) == stabilizer_oracle(single) == 1
+    for row1, row2, size in [
+        ((1, 1, 0, 0), (0, 0, 1, 1), 4),
+        ((2, 1, 0), (1, 1, 1), 1),
+        ((2, 0), (2, 0), 1),
+    ]:
+        pair = PairMatrix(DrawVector(row1), DrawVector(row2))
+        assert state_of(row1, row2).stabilizer_size == stabilizer_oracle(pair) == size
 
 
 def test_stabilizer_randomized_against_oracle():
@@ -94,7 +99,7 @@ def test_stabilizer_randomized_against_oracle():
         a = random_draw(rng, k, n)
         b = random_draw(rng, k, n)
         pair = PairMatrix(DrawVector(a), DrawVector(b))
-        assert stabilizer_size(pair) == stabilizer_oracle(pair)
+        assert state_of(a, b).stabilizer_size == stabilizer_oracle(pair)
 
 
 def test_frequency_vector_modes():

@@ -234,9 +234,9 @@ def test_count_grid_csv_records():
 
 def test_write_fields_forms():
     fields = [("alpha", Fraction(1, 4)), ("flag", True), ("x", 0.5)]
-    table = write_fields(fields, "table", exact=True)
+    table = write_fields(fields, "table")
     assert "alpha" in table and "1/4" in table and "yes" in table
-    rec = write_fields(fields, "records", exact=True)
+    rec = write_fields(fields, "records")
     assert '"alpha": "1/4"' in rec and '"alpha_float": 0.25' in rec
-    csv_text = write_fields(fields, "csv", exact=True)
+    csv_text = write_fields(fields, "csv")
     assert csv_text.splitlines()[0] == "alpha,flag,x"
