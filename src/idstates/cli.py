@@ -9,7 +9,9 @@ Subcommands:
   expectation   within/between expected-dissimilarity report
   oracle-check  one-pass state distribution and closed-form state
                 probabilities vs the exhaustive oracle
-  simulate      closed-form probabilities vs seeded Monte Carlo frequencies
+  simulate      one-pass state distribution (the "theory" column, which
+                its header line still calls the closed form) vs seeded
+                Monte Carlo frequencies
   prevalence    Dirichlet experiment: how often within > between
 
 Exit codes: 0 success; 1 bad input of any kind (usage errors such as an
@@ -346,12 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
         k=draw, i=True, freq=True)
     add("expectation", cmd_expectation, "expected-dissimilarity report",
         k="draw size for the state-sum cross-check", k_default=2, freq=True)
-    oc = add("oracle-check", cmd_oracle_check, "closed form vs exhaustive oracle",
+    oc = add("oracle-check", cmd_oracle_check,
+             "one-pass and closed-form probabilities vs exhaustive oracle",
              k=draw, i=True, freq=True, seed=True, fmt=False)
     oc.add_argument("--perturb", type=int, default=None, metavar="INDEX",
                     help="test hook: corrupt state INDEX before comparing")
     add("simulate", cmd_simulate,
-        "closed form vs Monte Carlo (uniform p=q by default)",
+        "one-pass probabilities vs Monte Carlo (uniform p=q by default)",
         k=draw, i=True, freq=True, samples=True, seed=True, fmt=False)
     pv = add("prevalence", cmd_prevalence, "Dirichlet within-vs-between experiment",
              i=True, samples=True, seed=True)

@@ -27,7 +27,7 @@ its transpose; catalogs are emitted sorted by that flattened form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 from .core import DissimilarityValue, DrawVector, PairMatrix
@@ -69,9 +69,12 @@ class StateMatrix:
     def n_objects(self) -> int:
         return sum(v for row in self.entries for v in row)
 
-    @property
+    @cached_property
     def flattened(self) -> tuple[int, ...]:
-        """Row-major flattening; the sort/dedup key for canonical forms."""
+        """Row-major flattening; the sort/dedup key for canonical forms.
+
+        Computed once per matrix; not a field, so == and hash ignore it.
+        """
         return tuple(v for row in self.entries for v in row)
 
     def transpose(self) -> "StateMatrix":

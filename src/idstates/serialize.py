@@ -13,7 +13,11 @@ value) is an "a/b" string plus a name_float companion field. In the
 table forms and the key/value csv, booleans are yes/no and an exact
 value is its "a/b" text alone, with no companion column. Floats have 12
 significant digits. The records and csv forms of a state table parse
-back losslessly (canonical matrices and rational values identical).
+back losslessly, and parsing accepts exactly what the writer writes: a
+table is rebuilt from its matrices and probabilities and must write back
+to the same bytes, so a blank line, CRLF line ends, reordered keys, an
+unreduced fraction or a field that disagrees with its matrix is a
+ValueError.
 
 Frequency input files are UTF-8, comma- or tab-delimited, with an
 optional ``object_id,p[,q]`` header; values are decimals or "a/b"
@@ -29,8 +33,10 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from math import isqrt
 
-from .core import DissimilarityValue, DrawVector, PairMatrix
+from .core import DissimilarityValue
 from .enumeration import IdentityState, StateMatrix
 from .probability import FrequencyVector
 
@@ -224,98 +230,49 @@ def write_state_table(table: StateTable, fmt: str) -> str:
     return _write(fmt, lambda: state_records(table), lambda: write_state_text(table))
 
 
-def _state_from_record(rec: dict) -> tuple[IdentityState, object]:
-    side = rec["k"] + 1
-    flat = rec["m"]
-    if len(flat) != side * side:
-        raise ValueError(f"matrix has {len(flat)} entries, expected {side * side}")
-    matrix = StateMatrix(
-        tuple(tuple(flat[r * side : (r + 1) * side]) for r in range(side))
-    )
-    if matrix.n_objects != rec["i"]:
-        raise ValueError(
-            f"matrix covers {matrix.n_objects} objects, record says {rec['i']}"
-        )
-    state = IdentityState(matrix)
-    rep = PairMatrix(
-        DrawVector(tuple(rec["rep_row1"])), DrawVector(tuple(rec["rep_row2"]))
-    )
-    checks = [
-        (state.representative == rep, "representative"),
-        (str(state.dissimilarity) == rec["d"], "dissimilarity"),
-        (state.n_distinct == rec["n_distinct"], "n_distinct"),
-        (state.stabilizer_size == rec["stabilizer_size"], "stabilizer_size"),
-        (state.is_symmetric == rec["is_symmetric"], "is_symmetric"),
-        (state.row_equiv == rec["row_equiv"], "row_equiv"),
-        (state.row_equal == rec["row_equal"], "row_equal"),
-    ]
-    for ok, name in checks:
-        if not ok:
-            raise ValueError(f"record field {name} disagrees with its matrix")
-    prob = rec.get("probability")
-    if isinstance(prob, str):
-        prob = Fraction(prob)
-    return state, prob
-
-
-def _records_to_table(records: list[dict]) -> StateTable:
-    if not records:
-        raise ValueError("empty state table")
-    draw_size = records[0]["k"]
-    n_objects = records[0]["i"]
-    states, probs = [], []
-    has_prob = "probability" in records[0]
-    exact = not has_prob or isinstance(records[0]["probability"], str)
-    for idx, rec in enumerate(records):
-        if rec["k"] != draw_size or rec["i"] != n_objects:
-            raise ValueError("mixed draw sizes or object counts in one table")
-        if rec["index"] != idx:
-            raise ValueError(f"record index {rec['index']} out of order")
-        state, prob = _state_from_record(rec)
-        states.append(state)
-        probs.append(prob)
-    return StateTable(
-        draw_size=draw_size,
-        n_objects=n_objects,
-        states=states,
-        probabilities=probs if has_prob else None,
-        exact=exact,
-    )
+def _parse_state_table(text: str, fmt: str) -> StateTable:
+    """The table whose fmt form is exactly text. Only k, i and each record's
+    m and probability are read; the rest is derived from the matrices, and
+    the table must write back to text byte for byte. The writer quotes no
+    csv cell, so a csv line splits at its commas."""
+    lines = text.splitlines()
+    try:
+        if fmt == "records":
+            records = [json.loads(line) for line in lines]
+        else:
+            header, *rows = [line.split(",") for line in lines] or [[]]
+            records = [dict(zip(header, row)) for row in rows]
+        if not records:
+            raise ValueError("empty state table")
+        k, i = int(records[0]["k"]), int(records[0]["i"])
+        has_prob = "probability" in records[0]
+        exact = not has_prob or "probability_float" in records[0]
+        states, probs = [], []
+        for rec in records:
+            m = rec["m"].split() if fmt == "csv" else rec["m"]
+            side = isqrt(len(m))
+            matrix = StateMatrix(tuple(m[r * side:(r + 1) * side] for r in range(side)))
+            if (matrix.draw_size, matrix.n_objects) != (k, i):
+                raise ValueError(f"matrix {matrix.flattened} is not K={k}, I={i}")
+            states.append(IdentityState(matrix))
+            if has_prob:
+                probs.append(parse_number(str(rec["probability"]), exact))
+        table = StateTable(k, i, states, probs if has_prob else None, exact)
+        written = write_state_table(table, fmt).split("\n")
+    except (LookupError, TypeError, OverflowError, RecursionError) as err:
+        raise ValueError(f"malformed state table: {err!r}") from None
+    for number, (got, want) in enumerate(zip_longest(text.split("\n"), written), 1):
+        if got != want:
+            raise ValueError(f"line {number} differs from the writer's: {got!r:.80}")
+    return table
 
 
 def parse_state_records(text: str) -> StateTable:
-    records = [json.loads(line) for line in text.splitlines() if line.strip()]
-    return _records_to_table(records)
+    return _parse_state_table(text, "records")
 
 
 def parse_state_csv(text: str) -> StateTable:
-    rows = list(csv.reader(io.StringIO(text)))
-    if len(rows) < 2:
-        raise ValueError("empty state table")
-    header, body = rows[0], rows[1:]
-    # exact tables carry a probability_float companion column; their
-    # probability cells stay "a/b" or integer strings, read as Fractions
-    exact = "probability_float" in header
-    records = []
-    for row in body:
-        if len(row) != len(header):
-            raise ValueError(f"row has {len(row)} cells, header has {len(header)}")
-        rec = {}
-        for name, cell in zip(header, row):
-            if name in ("rep_row1", "rep_row2", "m"):
-                rec[name] = [int(v) for v in cell.split()]
-            elif name in ("index", "k", "i", "n_distinct", "stabilizer_size"):
-                rec[name] = int(cell)
-            elif name in ("is_symmetric", "row_equiv", "row_equal"):
-                rec[name] = {"true": True, "false": False}[cell]
-            elif name in ("d_float", "probability_float"):
-                rec[name] = float(cell)
-            elif name == "probability":
-                rec[name] = cell if exact else float(cell)
-            else:
-                rec[name] = cell
-        records.append(rec)
-    return _records_to_table(records)
+    return _parse_state_table(text, "csv")
 
 
 _EXACT_TOKEN = re.compile(r"\d+(/\d+)?$")

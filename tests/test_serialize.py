@@ -1,5 +1,6 @@
 """Serialization: state tables, count grids, frequency files."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -24,6 +25,8 @@ from idstates.serialize import (
 )
 
 from conftest import random_rational_vector
+
+PARSE = {"records": parse_state_records, "csv": parse_state_csv}
 
 
 def make_table(k=2, i=4, with_probs=True, exact=True):
@@ -97,8 +100,7 @@ def exact_table(draw):
 @settings(max_examples=40)
 @given(exact_table(), st.sampled_from(["records", "csv"]))
 def test_exact_table_round_trip(table, fmt):
-    parse = {"records": parse_state_records, "csv": parse_state_csv}[fmt]
-    back = parse(write_state_table(table, fmt))
+    back = PARSE[fmt](write_state_table(table, fmt))
     assert [s.canonical_matrix for s in back.states] == [
         s.canonical_matrix for s in table.states
     ]
@@ -138,6 +140,112 @@ def test_corrupt_record_rejected():
     broken = text.replace('"n_distinct": 4', '"n_distinct": 3', 1)
     with pytest.raises(ValueError):
         parse_state_records(broken)
+
+
+def _edit(text, fmt, line, field, value):
+    """text with one field of line `line` (0 = first record) set to value.
+
+    A records value is a Python value, JSON-encoded like the writer does; a
+    csv value is the cell's text.
+    """
+    lines = text.split("\n")
+    if fmt == "records":
+        rec = json.loads(lines[line])
+        rec[field] = value
+        lines[line] = json.dumps(rec)
+    else:
+        header, cells = lines[0].split(","), lines[line + 1].split(",")
+        cells[header.index(field)] = value
+        lines[line + 1] = ",".join(cells)
+    return "\n".join(lines)
+
+
+def _unreduced(text, fmt):
+    """The first probability written as a/b with both terms doubled."""
+    prob = make_table().probabilities[0]
+    return _edit(text, fmt, 0, "probability",
+                 f"{2 * prob.numerator}/{2 * prob.denominator}")
+
+
+def _without_m(text, fmt):
+    lines = text.split("\n")
+    rec = json.loads(lines[0])
+    del rec["m"]
+    return "\n".join([json.dumps(rec)] + lines[1:])
+
+
+def _reordered(text, fmt):
+    lines = text.split("\n")
+    lines[0] = json.dumps(dict(reversed(json.loads(lines[0]).items())))
+    return "\n".join(lines)
+
+
+def _short_row(text, fmt):
+    """The first csv row without its last cell."""
+    lines = text.split("\n")
+    lines[1] = lines[1].rsplit(",", 1)[0]
+    return "\n".join(lines)
+
+
+def _transposed_m(text, fmt):
+    """Record 1 (not symmetric) with its matrix transposed: not canonical."""
+    m = json.loads(text.split("\n")[1])["m"]
+    return _edit(text, fmt, 1, "m", [m[c * 3 + r] for r in range(3) for c in range(3)])
+
+
+#: Tables the writer never writes, each made from the K=2 I=4 catalog with
+#: exact probabilities; every one must be a ValueError.
+MALFORMED = {
+    "d_float": ("records", lambda t, f: _edit(t, f, 0, "d_float", 0.75)),
+    "probability_float": ("records",
+                          lambda t, f: _edit(t, f, 0, "probability_float", 0.5)),
+    "is_symmetric 1": ("records", lambda t, f: _edit(t, f, 0, "is_symmetric", 1)),
+    "n_distinct": ("records", lambda t, f: _edit(t, f, 0, "n_distinct", 3)),
+    "record without m": ("records", _without_m),
+    "list line": ("records", lambda t, f: "[1, 2]\n" + t),
+    "non-canonical m": ("records", _transposed_m),
+    "index out of order": ("records", lambda t, f: _edit(t, f, 1, "index", 0)),
+    "mixed k": ("records", lambda t, f: _edit(t, f, 1, "k", 3)),
+    "matrix beyond i": ("records", lambda t, f: t.replace('"i": 4', '"i": 3')),
+    "reordered keys": ("records", _reordered),
+    "blank line": ("records", lambda t, f: t.replace("\n", "\n\n", 1)),
+    "crlf": ("records", lambda t, f: t.replace("\n", "\r\n")),
+    "unreduced probability": ("records", _unreduced),
+    "probability beyond a float": ("records", lambda t, f: _edit(t, f, 0, "probability",
+                                                                  "1" + "0" * 400)),
+    "empty records": ("records", lambda t, f: ""),
+    "extra column": ("csv", lambda t, f: t.replace("\n", ",x\n")),
+    "is_symmetric maybe": ("csv", lambda t, f: _edit(t, f, 0, "is_symmetric", "maybe")),
+    "csv unreduced probability": ("csv", _unreduced),
+    "csv crlf": ("csv", lambda t, f: t.replace("\n", "\r\n")),
+    "csv short row": ("csv", _short_row),
+    "header only": ("csv", lambda t, f: t.split("\n")[0] + "\n"),
+    "empty csv": ("csv", lambda t, f: ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_parsers_reject_what_the_writer_never_writes(case):
+    fmt, mutate = MALFORMED[case]
+    text = write_state_table(make_table(), fmt)
+    broken = mutate(text, fmt)
+    assert broken != text
+    with pytest.raises(ValueError):
+        PARSE[fmt](broken)
+
+
+@settings(max_examples=60)
+@given(exact_table(), st.sampled_from(["records", "csv"]), st.data())
+def test_one_changed_character_is_rejected_or_written_back(table, fmt, data):
+    text = write_state_table(table, fmt)
+    pos = data.draw(st.integers(0, len(text) - 1))
+    char = data.draw(st.characters(max_codepoint=127).filter(lambda c: c != text[pos]))
+    changed = text[:pos] + char + text[pos + 1:]
+    try:
+        back = PARSE[fmt](changed)
+    except ValueError:
+        return
+    assert write_state_table(back, fmt) == changed
 
 
 def test_frequency_file_comma_header(tmp_path):
