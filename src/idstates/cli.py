@@ -300,8 +300,11 @@ def cmd_prevalence(args: argparse.Namespace) -> tuple[str, int]:
 
 def build_parser() -> argparse.ArgumentParser:
     """The one table of commands, their flags and every flag's default."""
+    # allow_abbrev=False: only the spellings listed here are accepted, not
+    # their unique prefixes
     parser = _Parser(
         prog="idstates",
+        allow_abbrev=False,
         description="Identity states, exact probabilities, and expected "
         "dissimilarity for pairs of unordered draws.",
     )
@@ -310,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, handler, help_text, *, k=None, k_default=None, i=False,
             freq=False, samples=False, seed=False, fmt=True):
         """One command; k is the help text of its --k, which brings --force."""
-        sp = sub.add_parser(name, help=help_text)
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
         sp.set_defaults(handler=handler)
         if k:
             sp.add_argument("--k", type=int, default=k_default, help=k)

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import factorial
+from operator import mul
 
 from .core import DissimilarityValue, DrawVector, PairMatrix
 
@@ -46,16 +47,17 @@ class StateMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        grid = tuple(tuple(int(v) for v in row) for row in self.entries)
+        grid = tuple(tuple(map(int, row)) for row in self.entries)
         object.__setattr__(self, "entries", grid)
         side = len(grid)
         if side < 2 or any(len(row) != side for row in grid):
             raise ValueError("state matrix must be square with side >= 2")
-        if any(v < 0 for row in grid for v in row):
+        if min(map(min, grid)) < 0:
             raise ValueError("state matrix entries must be nonnegative")
         k = side - 1
-        top = sum(i * v for i, row in enumerate(grid) for v in row)
-        bottom = sum(j * v for row in grid for j, v in enumerate(row))
+        # the weighted sums from the row sums and the column sums
+        top = sum(map(mul, range(side), map(sum, grid)))
+        bottom = sum(map(mul, range(side), map(sum, zip(*grid))))
         if top != k or bottom != k:
             raise ValueError(
                 f"weighted sums ({top}, {bottom}) do not match draw size {k}"

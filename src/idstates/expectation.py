@@ -26,7 +26,11 @@ from typing import TYPE_CHECKING
 from .core import inner_product
 from .enumeration import enumerate_states
 # state_probability is unused here but stays importable: bench/trace_child.py wraps it
-from .probability import state_distribution, state_probability  # noqa: F401
+from .probability import (  # noqa: F401
+    SAMPLE_CHUNK,
+    state_distribution,
+    state_probability,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -89,6 +93,15 @@ def comparison_report(p, q) -> ExpectationReport:
     )
 
 
+def _count_within_exceeds(p_rows: np.ndarray, q_rows: np.ndarray) -> int:
+    """Rows with <p, q> > <p, p>: the one comparison rule of this module."""
+    import numpy as np
+
+    self_sim = np.einsum("ij,ij->i", p_rows, p_rows)
+    cross_sim = np.einsum("ij,ij->i", p_rows, q_rows)
+    return int(np.count_nonzero(cross_sim > self_sim))
+
+
 def within_exceeds_between_fraction(p_rows: np.ndarray, q_rows: np.ndarray) -> float:
     """Fraction of row pairs whose within-dissimilarity exceeds the between.
 
@@ -101,9 +114,7 @@ def within_exceeds_between_fraction(p_rows: np.ndarray, q_rows: np.ndarray) -> f
     q_rows = np.asarray(q_rows, dtype=float)
     if p_rows.shape != q_rows.shape:
         raise ValueError(f"shape mismatch: {p_rows.shape} vs {q_rows.shape}")
-    self_sim = np.einsum("ij,ij->i", p_rows, p_rows)
-    cross_sim = np.einsum("ij,ij->i", p_rows, q_rows)
-    return float(np.mean(cross_sim > self_sim))
+    return _count_within_exceeds(p_rows, q_rows) / len(p_rows)
 
 
 #: Draws of a row allowed before its Gamma entries, all underflowed to 0,
@@ -111,35 +122,52 @@ def within_exceeds_between_fraction(p_rows: np.ndarray, q_rows: np.ndarray) -> f
 DIRICHLET_ROUNDS = 100
 
 
-def _dirichlet_rows(rng, concentration: float, n_rows: int, n_cols: int):
+def _dirichlet_chunks(rng, concentration: float, n_rows: int, n_cols: int):
+    """Yield (row indices, normalized rows) of an n_rows x n_cols Dirichlet block.
+
+    Symmetric Dirichlet via the normalized-Gamma construction, drawn
+    SAMPLE_CHUNK rows at a time. Every index is yielded exactly once.
+    Rows whose Gamma entries all underflow to 0 (measure zero, but real at
+    tiny concentrations) are held back and redrawn together after the
+    last chunk, a bounded number of rounds, as one whole-block draw
+    followed by its redraws would.
+    """
     import numpy as np
 
-    # symmetric Dirichlet via the normalized-Gamma construction
-    raw = rng.gamma(shape=concentration, scale=1.0, size=(n_rows, n_cols))
-    # Gamma draws near the float maximum overflow their row sum to inf,
-    # and the normalized rows would be NaN
-    with np.errstate(over="ignore"):
-        totals = raw.sum(axis=1, keepdims=True)
-    if not np.isfinite(totals).all():
-        raise ValueError(
-            f"concentration {concentration} is too large: Gamma row sums overflow"
-        )
-    # zero rows have measure zero, but Gamma draws underflow at tiny
-    # concentrations: redraw them, a bounded number of times
-    bad = totals[:, 0] == 0.0
+    deferred: list[int] = []
+    for start in range(0, n_rows, SAMPLE_CHUNK):
+        raw = rng.gamma(shape=concentration, scale=1.0,
+                        size=(min(SAMPLE_CHUNK, n_rows - start), n_cols))
+        # Gamma draws near the float maximum overflow their row sum to inf,
+        # and the normalized rows would be NaN
+        with np.errstate(over="ignore"):
+            totals = raw.sum(axis=1, keepdims=True)
+        if not np.isfinite(totals).all():
+            raise ValueError(
+                f"concentration {concentration} is too large: Gamma row sums overflow"
+            )
+        zero = np.flatnonzero(totals[:, 0] == 0.0)
+        if len(zero):
+            deferred.extend(zero + start)
+            kept = np.flatnonzero(totals[:, 0])
+            yield kept + start, raw[kept] / totals[kept]
+        else:
+            raw /= totals
+            yield slice(start, start + len(raw)), raw
+    redraw = np.array(deferred, dtype=np.intp)
     rounds = 1
-    while bad.any():
+    while len(redraw):
         if rounds == DIRICHLET_ROUNDS:
             raise ValueError(
                 f"concentration {concentration} is too small: Gamma draws "
                 f"still underflow to all-zero rows after {rounds} rounds"
             )
-        raw[bad] = rng.gamma(shape=concentration, scale=1.0, size=(bad.sum(), n_cols))
+        raw = rng.gamma(shape=concentration, scale=1.0, size=(len(redraw), n_cols))
         totals = raw.sum(axis=1, keepdims=True)
-        bad = totals[:, 0] == 0.0
+        kept = np.flatnonzero(totals[:, 0])
+        yield redraw[kept], raw[kept] / totals[kept]
+        redraw = redraw[totals[:, 0] == 0.0]
         rounds += 1
-    raw /= totals
-    return raw
 
 
 def prevalence_experiment(
@@ -150,6 +178,12 @@ def prevalence_experiment(
     Each trial draws independent p and q from a symmetric Dirichlet with
     the given concentration and tests <p, q> > <p, p>. Returns the
     fraction of trials where it holds; reproducible per seed.
+
+    The stream holds the whole p block, with its redraws, before any
+    q-draw, and consecutive Gamma calls continue it exactly as one call
+    would. So p is drawn in chunks and kept whole (n_trials * n_objects
+    float64), while each q chunk is compared with its p rows as soon as it
+    is drawn: the result is the one that drawing both blocks whole gives.
     """
     if n_objects < 2:
         raise ValueError(f"need at least two objects, got {n_objects}")
@@ -162,6 +196,10 @@ def prevalence_experiment(
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    p_rows = _dirichlet_rows(rng, concentration, n_trials, n_objects)
-    q_rows = _dirichlet_rows(rng, concentration, n_trials, n_objects)
-    return within_exceeds_between_fraction(p_rows, q_rows)
+    p_rows = np.empty((n_trials, n_objects))
+    for rows, block in _dirichlet_chunks(rng, concentration, n_trials, n_objects):
+        p_rows[rows] = block
+    count = 0
+    for rows, block in _dirichlet_chunks(rng, concentration, n_trials, n_objects):
+        count += _count_within_exceeds(p_rows[rows], block)
+    return count / n_trials

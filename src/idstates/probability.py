@@ -68,6 +68,10 @@ _EXACT_TYPES = (int, Fraction)
 #: Largest I**(2K) the exhaustive oracle will attempt without force=True.
 BRUTE_FORCE_GUARD = 10**8
 
+#: Rows a sampler draws and reduces at a time. Consecutive numpy draws
+#: continue one stream, so this bounds memory without changing results.
+SAMPLE_CHUNK = 16384
+
 
 def _is_exact(values) -> bool:
     return all(isinstance(v, _EXACT_TYPES) for v in values)
@@ -404,8 +408,16 @@ def monte_carlo_state_distribution(
     Sorted, a sample's cells list its state matrix's columns, so samples
     with equal sorted cells share a matrix; numpy counts each distinct
     matrix, and only those are canonicalized. Frequencies are exact counts
-    over n_samples, so they sum to exactly 1. Reproducible for a fixed
-    (seed, numpy version).
+    over n_samples, so they sum to exactly 1; states are sorted by
+    flattened matrix. Reproducible for a fixed (seed, numpy version).
+
+    The stream holds every p-draw before every q-draw, and consecutive
+    multinomial calls continue it exactly as one call would. So the p
+    block is drawn SAMPLE_CHUNK rows at a time and kept only as its cells
+    a * (K+1), one byte per object up to K = 14; then q is drawn a chunk
+    at a time and each chunk is classified at once. Memory is n_samples *
+    n_objects cells plus O(SAMPLE_CHUNK), and the result is the one that
+    drawing both blocks whole gives.
     """
     import numpy as np
 
@@ -419,21 +431,35 @@ def monte_carlo_state_distribution(
     qf = np.asarray([float(v) for v in q])
     side = draw_size + 1
     area = side * side
-    # cells a * side + b, built in place from the p-draw's counts a
-    cells = rng.multinomial(draw_size, pf / pf.sum(), size=n_samples)
-    cells *= side
-    cells += rng.multinomial(draw_size, qf / qf.sum(), size=n_samples)
-    cells.sort(axis=1)
-    first, index = _distinct_rows(cells, area)
-    counts = np.bincount(index)
-    # flattened matrix of each distinct row: one bincount over row x cell
-    offsets = np.arange(len(first))[:, None] * area
-    matrices = np.bincount(
-        (offsets + cells[first]).ravel(), minlength=len(first) * area
-    ).reshape(len(first), area)
+    chunks = [(start, min(start + SAMPLE_CHUNK, n_samples))
+              for start in range(0, n_samples, SAMPLE_CHUNK)]
+    # the p-draws' counts a as cells a * side
+    p_cells = np.empty((n_samples, n_objects), dtype=np.min_scalar_type(area - 1))
+    for start, stop in chunks:
+        p_cells[start:stop] = rng.multinomial(draw_size, pf / pf.sum(),
+                                              size=stop - start) * side
+    # flattened matrix -> samples
+    totals: dict[tuple[int, ...], int] = {}
+    for start, stop in chunks:
+        # cells a * side + b
+        cells = rng.multinomial(draw_size, qf / qf.sum(), size=stop - start)
+        cells += p_cells[start:stop]
+        cells.sort(axis=1)
+        first, index = _distinct_rows(cells, area)
+        counts = np.bincount(index)
+        # flattened matrix of each distinct row: one bincount over row x cell
+        offsets = np.arange(len(first))[:, None] * area
+        matrices = np.bincount(
+            (offsets + cells[first]).ravel(), minlength=len(first) * area
+        ).reshape(len(first), area)
+        for flat, count in zip(map(tuple, matrices.tolist()), counts.tolist()):
+            totals[flat] = totals.get(flat, 0) + count
     # a matrix and its transpose are one state
-    totals: dict[StateMatrix, int] = {}
-    for flat, count in zip(matrices.tolist(), counts.tolist()):
-        state = canonical_from_flat(tuple(flat), side)
-        totals[state] = totals.get(state, 0) + count
-    return {state: Fraction(count, n_samples) for state, count in totals.items()}
+    states: dict[StateMatrix, int] = {}
+    for flat, count in totals.items():
+        state = canonical_from_flat(flat, side)
+        states[state] = states.get(state, 0) + count
+    return {
+        state: Fraction(count, n_samples)
+        for state, count in sorted(states.items(), key=lambda e: e[0].flattened)
+    }

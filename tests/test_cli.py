@@ -552,6 +552,45 @@ def test_each_command_takes_only_the_flags_it_reads():
     assert sum(map(len, options.values())) == 57
 
 
+#: A request each command runs without error.
+VALID_REQUESTS = {
+    "enumerate": ["--k", "2", "--i", "2"],
+    "count-table": ["--k", "2"],
+    "probabilities": ["--k", "2", "--i", "2", "--p", "1/2,1/2"],
+    "expectation": ["--p", "1/2,1/2"],
+    "oracle-check": ["--k", "2", "--i", "2"],
+    "simulate": ["--k", "1", "--i", "2", "--samples", "10"],
+    "prevalence": ["--i", "2", "--samples", "10"],
+}
+
+
+def test_option_prefixes_are_usage_errors(capsys, tmp_path):
+    # argparse accepts a unique prefix of a long option unless allow_abbrev
+    # is off; then `--form csv` or `--pert 0` would pass as a flag that no
+    # README row lists
+    freq = tmp_path / "freq.csv"
+    freq.write_text("a,0.5,0.5\nb,0.5,0.5\n", encoding="utf-8")
+    values = {"--freq": str(freq), "--p": "1/2,1/2", "--q": "1/2,1/2",
+              "--mode": "float", "--samples": "10", "--seed": "1",
+              "--format": "csv", "--out": str(tmp_path / "out.txt"),
+              "--perturb": "0", "--concentration": "0.5"}
+    spellings = [["--he"], ["--hel"]]
+    for command, options in parser_options().items():
+        for option in [*options, "--help"]:
+            value = values.get(option)
+            for end in range(3, len(option)):
+                if option[:end] in options:
+                    continue
+                request = [command, *VALID_REQUESTS[command], option[:end]]
+                spellings.append(request + ([value] if value else []))
+                if value:
+                    spellings.append(request[:-1] + [f"{option[:end]}={value}"])
+    assert len(spellings) > 100
+    for argv in spellings:
+        assert_one_error_line(*run_cli(capsys, *argv))
+    assert not (tmp_path / "out.txt").exists()
+
+
 def test_readme_flag_table_matches_parser():
     """README's per-command flag table lists exactly the parser's options."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -217,10 +217,19 @@ def test_state_from_matrix_rejects_noncanonical():
 
 
 def test_state_matrix_validation():
-    with pytest.raises(ValueError):
-        StateMatrix(((1, 0), (0, 0)))  # weighted sums don't reach draw size
-    with pytest.raises(ValueError):
-        StateMatrix(((1, 0, 0), (0, 1, 0)))  # not square
-    with pytest.raises(ValueError):
+    mismatch = r"weighted sums \({}, {}\) do not match draw size 1"
+    with pytest.raises(ValueError, match=mismatch.format(0, 0)):
+        StateMatrix(((1, 0), (0, 0)))
+    # the top sum weights rows, the bottom sum weights columns
+    with pytest.raises(ValueError, match=mismatch.format(1, 0)):
+        StateMatrix(((0, 0), (1, 0)))
+    with pytest.raises(ValueError, match="square with side >= 2"):
+        StateMatrix(((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(ValueError, match="square with side >= 2"):
+        StateMatrix(((1, 0), (0,)))
+    with pytest.raises(ValueError, match="square with side >= 2"):
+        StateMatrix(((1,),))
+    with pytest.raises(ValueError, match="nonnegative"):
         StateMatrix(((3, -1, 1), (0, 0, 0), (1, 0, 0)))
+    assert StateMatrix([[1.0, 0], [0, "1"]]).entries == ((1, 0), (0, 1))
 

@@ -1,6 +1,7 @@
 """Expected dissimilarity: closed form, state-sum route, comparisons."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,8 @@ from idstates import (
     inner_product,
     prevalence_experiment,
 )
-from idstates.expectation import within_exceeds_between_fraction
+from idstates import expectation
+from idstates.expectation import _dirichlet_chunks, within_exceeds_between_fraction
 
 from conftest import random_rational_vector
 
@@ -140,3 +142,69 @@ def test_prevalence_validation():
         prevalence_experiment(3, 0, seed=0)
     with pytest.raises(ValueError):
         prevalence_experiment(3, 100, seed=0, concentration=0.0)
+
+
+def dirichlet_rows_reference(rng, concentration, n_rows, n_cols):
+    """Whole-block symmetric Dirichlet rows: one Gamma call, then redraws.
+
+    The sampler prevalence_experiment streams in chunks, drawn in one piece:
+    every all-zero row of the block is redrawn together, round by round.
+    """
+    raw = rng.gamma(shape=concentration, scale=1.0, size=(n_rows, n_cols))
+    totals = raw.sum(axis=1, keepdims=True)
+    bad = totals[:, 0] == 0.0
+    while bad.any():
+        raw[bad] = rng.gamma(shape=concentration, scale=1.0, size=(bad.sum(), n_cols))
+        totals = raw.sum(axis=1, keepdims=True)
+        bad = totals[:, 0] == 0.0
+    return raw / totals
+
+
+def prevalence_reference(n_objects, n_trials, seed, concentration):
+    rng = np.random.default_rng(seed)
+    p = dirichlet_rows_reference(rng, concentration, n_trials, n_objects)
+    q = dirichlet_rows_reference(rng, concentration, n_trials, n_objects)
+    return float(np.mean(np.einsum("ij,ij->i", p, q) > np.einsum("ij,ij->i", p, p)))
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_prevalence_same_at_every_chunk_size(monkeypatch, offset):
+    # chunk sizes 1 and 7, then n - 1, n and n + 1 for each n; at
+    # concentration 0.001 about 120 of 1000 rows are redrawn, spread over
+    # many chunks
+    for i, n_trials, seed, concentration in [
+        (3, 1000, 3, 0.001), (10, 300, 4, 1.0), (5, 257, 2, 0.3)
+    ]:
+        want = prevalence_reference(i, n_trials, seed, concentration)
+        want_rows = dirichlet_rows_reference(
+            np.random.default_rng(seed), concentration, n_trials, i)
+        for chunk in ((1, 7) if offset is None else (n_trials + offset,)):
+            monkeypatch.setattr(expectation, "SAMPLE_CHUNK", chunk)
+            got = prevalence_experiment(i, n_trials, seed, concentration)
+            assert got == want, (i, concentration, chunk)
+            # each row is yielded once, bit-identical to the whole block's
+            rows = np.full((n_trials, i), np.nan)
+            rng = np.random.default_rng(seed)
+            for index, part in _dirichlet_chunks(rng, concentration, n_trials, i):
+                assert np.isnan(rows[index]).all()
+                rows[index] = part
+            assert np.array_equal(rows, want_rows), (i, concentration, chunk)
+
+
+def test_prevalence_concentration_too_small(monkeypatch):
+    # every Gamma draw underflows: the redraw rounds run out
+    monkeypatch.setattr(expectation, "SAMPLE_CHUNK", 7)
+    with pytest.raises(ValueError, match="too small"):
+        prevalence_experiment(2, 20, seed=0, concentration=1e-300)
+
+
+def test_prevalence_memory_is_the_p_block_plus_a_chunk():
+    # 177 MB (10^6 bytes) at 10^6 trials when p, q and a Gamma temporary were whole
+    n_trials, n_objects = 10**6, 10
+    tracemalloc.start()
+    try:
+        prevalence_experiment(n_objects, n_trials, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n_trials * n_objects * 8 + 24 * 10**6

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 import typing
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from idstates import (
     state_distribution,
     state_probability,
 )
+from idstates import probability
 from idstates.enumeration import canonicalize, state_matrix
 
 from conftest import (
@@ -463,6 +465,34 @@ def test_monte_carlo_matches_reference_many_pairs():
         for seed in (1, 77):
             got = monte_carlo_state_distribution(k, i, p, q, n_samples, seed)
             assert got == unique_rows_reference(k, i, p, q, n_samples, seed)
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_monte_carlo_same_at_every_chunk_size(monkeypatch, offset):
+    # chunk sizes 1 and 7, then n - 1, n and n + 1 for each n
+    rng = random.Random(63)
+    for k, i, n_samples in [(2, 4, 300), (3, 6, 250), (4, 3, 120)]:
+        p = random_rational_vector(rng, i, force_zeros=i // 4)
+        q = random_rational_vector(rng, i)
+        want = unique_rows_reference(k, i, p, q, n_samples, 9)
+        for chunk in ((1, 7) if offset is None else (n_samples + offset,)):
+            monkeypatch.setattr(probability, "SAMPLE_CHUNK", chunk)
+            got = monte_carlo_state_distribution(k, i, p, q, n_samples, 9)
+            assert got == want, (k, i, chunk)
+            assert list(got) == sorted(got, key=lambda m: m.flattened)
+
+
+def test_monte_carlo_memory_is_one_byte_per_object_plus_a_chunk():
+    # 97 MB (10^6 bytes) at 10^6 samples when every draw was held as int64
+    n_samples, n_objects = 10**6, 6
+    u = FrequencyVector.uniform(n_objects)
+    tracemalloc.start()
+    try:
+        monte_carlo_state_distribution(3, n_objects, u, u, n_samples, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n_samples * n_objects + 24 * 10**6
 
 
 def test_monte_carlo_many_pairs_within_time():
