@@ -33,8 +33,6 @@ from .probability import (
     StateProbability,
     brute_force_state_distribution,
     monte_carlo_state_distribution,
-    multinomial,
-    ordered_pair_probability,
     state_distribution,
     state_probability,
 )
@@ -60,8 +58,6 @@ __all__ = [
     "expected_dissimilarity_via_states",
     "inner_product",
     "monte_carlo_state_distribution",
-    "multinomial",
-    "ordered_pair_probability",
     "parse_frequency_file",
     "prevalence_experiment",
     "state_count",

@@ -97,9 +97,12 @@ def _validate(args: argparse.Namespace) -> argparse.Namespace:
             raise ValueError("--q needs --p")
         if args.freq is not None and args.p is not None:
             raise ValueError("give either --freq or --p/--q, not both")
-        if (args.command in ("probabilities", "expectation")
-                and args.freq is None and args.p is None):
-            raise ValueError(f"{args.command} requires --freq or --p")
+        if args.freq is None and args.p is None:
+            if args.command in ("probabilities", "expectation"):
+                raise ValueError(f"{args.command} requires --freq or --p")
+            # simulate reads --mode for its uniform default frequencies
+            if args.mode != "auto" and args.command != "simulate":
+                raise ValueError(f"--mode {args.mode} needs --freq or --p")
     return args
 
 
@@ -292,8 +295,10 @@ def cmd_prevalence(args: argparse.Namespace) -> tuple[str, int]:
         ("seed", args.seed),
         ("concentration", args.concentration),
         ("fraction_within_exceeds_between", fraction),
-        ("ci95_low", max(0.0, center - half)),
-        ("ci95_high", min(1.0, center + half)),
+        # the Wilson bound at fraction 0 (1) is exactly 0 (1); the float
+        # formula can leave a rounding residue there that excludes the estimate
+        ("ci95_low", 0.0 if fraction == 0 else max(0.0, center - half)),
+        ("ci95_high", 1.0 if fraction == 1 else min(1.0, center + half)),
     ]
     return write_fields(fields, args.format), 0
 

@@ -21,7 +21,10 @@ States for I < 2K are the subset whose pairs fit in I columns; for
 I > 2K the catalog is the same as at 2K with extra all-zero columns.
 
 The canonical form of M is the row-major lexicographic minimum of M and
-its transpose; catalogs are emitted sorted by that flattened form.
+its transpose; catalogs are emitted sorted by that flattened form. This
+module holds that rule: merge_transposes sums any weights keyed by
+flattened matrices onto their canonical states, and both computed state
+distributions (probability.py) end with it.
 """
 
 from __future__ import annotations
@@ -168,7 +171,8 @@ def state_matrix(pair: PairMatrix) -> StateMatrix:
 
 def canonicalize(m: StateMatrix) -> StateMatrix:
     """Canonical form under transpose: the flattening-smaller of m, m^T."""
-    return canonical_from_flat(m.flattened, len(m.entries))
+    side = len(m.entries)
+    return _unflatten(_canonical_flat(m.flattened, side), side)
 
 
 @lru_cache(maxsize=None)
@@ -181,9 +185,21 @@ def _canonical_flat(flat: tuple[int, ...], side: int) -> tuple[int, ...]:
     return min(flat, tuple(map(flat.__getitem__, _transpose_index(side))))
 
 
-def canonical_from_flat(flat: tuple[int, ...], side: int) -> StateMatrix:
-    """Canonical StateMatrix of a row-major flattened side x side matrix."""
-    return _unflatten(_canonical_flat(flat, side), side)
+def merge_transposes(
+    weights: dict[tuple[int, ...], object], side: int
+) -> dict[StateMatrix, object]:
+    """Sum weights keyed by row-major flattened side x side matrices per state.
+
+    A matrix and its transpose are one state, so each key is replaced by
+    its canonical form and the weights landing on one form are added in
+    the input's order. Returns {canonical StateMatrix: weight} sorted by
+    flattened matrix; a StateMatrix is built only for each state returned.
+    """
+    merged: dict[tuple[int, ...], object] = {}
+    for flat, weight in weights.items():
+        flat = _canonical_flat(flat, side)
+        merged[flat] = merged.get(flat, 0) + weight
+    return {_unflatten(flat, side): merged[flat] for flat in sorted(merged)}
 
 
 @lru_cache(maxsize=None)

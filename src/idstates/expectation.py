@@ -94,27 +94,16 @@ def comparison_report(p, q) -> ExpectationReport:
 
 
 def _count_within_exceeds(p_rows: np.ndarray, q_rows: np.ndarray) -> int:
-    """Rows with <p, q> > <p, p>: the one comparison rule of this module."""
-    import numpy as np
-
-    self_sim = np.einsum("ij,ij->i", p_rows, p_rows)
-    cross_sim = np.einsum("ij,ij->i", p_rows, q_rows)
-    return int(np.count_nonzero(cross_sim > self_sim))
-
-
-def within_exceeds_between_fraction(p_rows: np.ndarray, q_rows: np.ndarray) -> float:
-    """Fraction of row pairs whose within-dissimilarity exceeds the between.
+    """Rows with <p, q> > <p, p>: the one comparison rule of this module.
 
     E[D(p, p)] > E[D(p, q)] unwinds to <p, q> > <p, p>: the p-draw matches
     a q-draw more readily than another p-draw.
     """
     import numpy as np
 
-    p_rows = np.asarray(p_rows, dtype=float)
-    q_rows = np.asarray(q_rows, dtype=float)
-    if p_rows.shape != q_rows.shape:
-        raise ValueError(f"shape mismatch: {p_rows.shape} vs {q_rows.shape}")
-    return _count_within_exceeds(p_rows, q_rows) / len(p_rows)
+    self_sim = np.einsum("ij,ij->i", p_rows, p_rows)
+    cross_sim = np.einsum("ij,ij->i", p_rows, q_rows)
+    return int(np.count_nonzero(cross_sim > self_sim))
 
 
 #: Draws of a row allowed before its Gamma entries, all underflowed to 0,

@@ -12,11 +12,11 @@ built up one object at a time: with `top` and `bottom` items already
 placed, the column (a, b) multiplies by C(top + a, a) * C(bottom + b, b).
 So the objects fold into a table keyed by the partial column-type matrix
 and the budgets used; at the end the nodes with both budgets at K are the
-state matrices M, with M_00 = I - (nonzero columns), and M and its
-transpose merge into one state. In exact mode p and q are integer
-numerators over their lcm denominators D_p and D_q, the fold runs on
-Python ints, and one division by D_p^K * D_q^K ends it. Float mode runs
-the same fold on floats.
+state matrices M, with M_00 = I - (nonzero columns), and
+enumeration.merge_transposes merges M and its transpose into one state.
+In exact mode p and q are integer numerators over their lcm denominators
+D_p and D_q, the fold runs on Python ints, and one division by
+D_p^K * D_q^K ends it. Float mode runs the same fold on floats.
 
 Reference path, state_probability: the paper's closed form, one state at
 a time,
@@ -38,9 +38,11 @@ orientations at full weight. Its cost is a falling factorial in I, so it
 serves as a cross-check on small inputs.
 
 Two numeric modes: exact rationals (Fraction entries; all identities hold
-bit-exactly) and floats. Two independent oracles check both paths: an
-exhaustive iteration over all ordered outcome pairs, and a seeded Monte
-Carlo sampler.
+bit-exactly) and floats. Two oracles check both paths: an exhaustive
+iteration over all ordered outcome pairs, which folds each pair into its
+state with state_matrix and canonicalize and so shares no code with the
+production merge, and a seeded Monte Carlo sampler, which counts
+flattened matrices and ends with merge_transposes like state_distribution.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ from .core import DrawVector, PairMatrix
 from .enumeration import (
     IdentityState,
     StateMatrix,
-    canonical_from_flat,
     canonicalize,
+    merge_transposes,
     state_matrix,
 )
 
@@ -166,22 +168,6 @@ def multinomial(total: int, parts) -> int:
 def _check_freqs(p, q):
     if len(p) != len(q):
         raise ValueError(f"frequency length mismatch: {len(p)} vs {len(q)}")
-
-
-def ordered_pair_probability(pair: PairMatrix, p, q):
-    """Probability of drawing exactly (row1 from p, row2 from q), in order."""
-    if len(p) != pair.n_objects or len(q) != pair.n_objects:
-        raise ValueError(
-            f"pair covers {pair.n_objects} objects, frequencies cover "
-            f"{len(p)} and {len(q)}"
-        )
-    k = pair.draw_size
-    out = multinomial(k, pair.row1.counts) * multinomial(k, pair.row2.counts)
-    for freq, counts in ((p, pair.row1.counts), (q, pair.row2.counts)):
-        for f, c in zip(freq, counts):
-            if c:
-                out *= f**c
-    return out
 
 
 def _injective_pair_sum(p, q, exp1, exp2, one):
@@ -351,19 +337,19 @@ def state_distribution(draw_size: int, p, q) -> dict[StateMatrix, object]:
                 for key, weight in source.items():
                     key += step
                     target[key] = target.get(key, 0) + weight * factor
-    merged: dict[StateMatrix, object] = {}
+    # flattened matrix -> weight
+    finished: dict[tuple[int, ...], object] = {}
     for key, weight in layers.get((k, k), {}).items():
         flat = [0] * (side * side)
         for pos in range(side * side):
             key, flat[pos] = divmod(key, side)
         flat[0] = len(p) - sum(flat)
-        state = canonical_from_flat(tuple(flat), side)
-        merged[state] = merged.get(state, 0) + weight
-    scale = den_p**k * den_q**k if exact else 1
-    return {
-        state: Fraction(weight, scale) if exact else weight
-        for state, weight in sorted(merged.items(), key=lambda e: e[0].flattened)
-    }
+        finished[tuple(flat)] = weight
+    merged = merge_transposes(finished, side)
+    if not exact:
+        return merged
+    scale = den_p**k * den_q**k
+    return {state: Fraction(weight, scale) for state, weight in merged.items()}
 
 
 def _distinct_rows(rows: np.ndarray, radix: int):
@@ -407,9 +393,10 @@ def monte_carlo_state_distribution(
     column (a, b) of its pair, coded as the matrix cell a * (K+1) + b.
     Sorted, a sample's cells list its state matrix's columns, so samples
     with equal sorted cells share a matrix; numpy counts each distinct
-    matrix, and only those are canonicalized. Frequencies are exact counts
-    over n_samples, so they sum to exactly 1; states are sorted by
-    flattened matrix. Reproducible for a fixed (seed, numpy version).
+    matrix, and merge_transposes adds each to its state. Frequencies are
+    exact counts over n_samples, so they sum to exactly 1; states are
+    sorted by flattened matrix. Reproducible for a fixed (seed, numpy
+    version).
 
     The stream holds every p-draw before every q-draw, and consecutive
     multinomial calls continue it exactly as one call would. So the p
@@ -454,12 +441,7 @@ def monte_carlo_state_distribution(
         ).reshape(len(first), area)
         for flat, count in zip(map(tuple, matrices.tolist()), counts.tolist()):
             totals[flat] = totals.get(flat, 0) + count
-    # a matrix and its transpose are one state
-    states: dict[StateMatrix, int] = {}
-    for flat, count in totals.items():
-        state = canonical_from_flat(flat, side)
-        states[state] = states.get(state, 0) + count
     return {
         state: Fraction(count, n_samples)
-        for state, count in sorted(states.items(), key=lambda e: e[0].flattened)
+        for state, count in merge_transposes(totals, side).items()
     }

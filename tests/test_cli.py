@@ -211,6 +211,31 @@ def test_prevalence_runs(capsys):
     assert report["ci95_high"] >= report["fraction_within_exceeds_between"]
 
 
+@pytest.mark.parametrize("fraction", [0.0, 1.0])
+@pytest.mark.parametrize("samples", ["3", "10"])
+def test_prevalence_interval_holds_its_estimate_at_the_ends(
+        capsys, monkeypatch, fraction, samples):
+    # the float Wilson formula leaves 5.6e-17 as the low bound at n = 3 and
+    # 1 - 1.1e-16 as the high bound at n = 10; the printed 12 digits show
+    # the first only, so the unrounded fields are checked too
+    monkeypatch.setattr(cli, "prevalence_experiment", lambda *a, **kw: fraction)
+    fields = {}
+    write_fields = cli.write_fields
+
+    def keep_fields(pairs, fmt):
+        fields.update(pairs)
+        return write_fields(pairs, fmt)
+
+    monkeypatch.setattr(cli, "write_fields", keep_fields)
+    code, out, _ = run_cli(capsys, "prevalence", "--i", "2", "--samples", samples,
+                           "--format", "records")
+    assert code == 0
+    for report in (json.loads(out), fields):
+        assert report["fraction_within_exceeds_between"] == fraction
+        assert report["ci95_low"] <= fraction <= report["ci95_high"]
+        assert report["ci95_low" if fraction == 0 else "ci95_high"] == fraction
+
+
 def test_guard_rejects_large_draw_size(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--k", "9", "--i", "4")
     assert code == 1 and "guard" in err
@@ -519,6 +544,11 @@ def test_freq_and_inline_conflict(capsys, tmp_path):
     ["prevalence", "--i", "2", "--mode", "rational"],
     ["prevalence", "--i", "2", "--force"],
     ["count-table", "--k", "2", "--seed", "5"],
+    # --mode sets how given frequencies parse; only simulate has a default
+    ["enumerate", "--k", "2", "--i", "3", "--mode", "float"],
+    ["enumerate", "--k", "2", "--i", "3", "--mode", "rational"],
+    ["oracle-check", "--k", "2", "--i", "3", "--mode", "float"],
+    ["oracle-check", "--k", "2", "--i", "3", "--mode", "rational"],
     # an empty value counts as given
     ["enumerate", "--k", "2", "--i", "2", "--p", ""],
     ["enumerate", "--k", "2", "--i", "2", "--out", ""],
@@ -528,6 +558,16 @@ def test_freq_and_inline_conflict(capsys, tmp_path):
 ])
 def test_usage_errors_exit_one_line(capsys, argv):
     assert_one_error_line(*run_cli(capsys, *argv))
+
+
+def test_mode_without_frequencies_sets_the_simulate_default(capsys):
+    for mode in ("rational", "float"):
+        code, out, err = run_cli(capsys, "simulate", "--k", "1", "--i", "2",
+                                 "--samples", "10", "--mode", mode)
+        assert (code, err) == (0, "") and out
+    code, out, _ = run_cli(capsys, "oracle-check", "--k", "2", "--i", "3",
+                           "--p", "1/2,1/4,1/4", "--mode", "float")
+    assert code == 0 and "mode=float" in out
 
 
 FREQUENCY_FLAGS = ["--freq", "--p", "--q", "--mode"]

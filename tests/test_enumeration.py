@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from idstates import (
     DrawVector,
@@ -15,6 +17,7 @@ from idstates import (
     state_count,
     state_matrix,
 )
+from idstates.enumeration import _canonical_flat_keys, merge_transposes
 
 from conftest import canonical_key, compositions, random_draw, stabilizer_oracle
 
@@ -233,3 +236,33 @@ def test_state_matrix_validation():
         StateMatrix(((3, -1, 1), (0, 0, 0), (1, 0, 0)))
     assert StateMatrix([[1.0, 0], [0, "1"]]).entries == ((1, 0), (0, 1))
 
+
+
+@st.composite
+def flat_weights(draw):
+    """(side, int weights keyed by flattened catalog matrices at K <= 4), each
+    key given as itself or as its transpose."""
+    k = draw(st.integers(1, 4))
+    side = k + 1
+    weights = {}
+    for flat in draw(st.lists(st.sampled_from(_canonical_flat_keys(k)),
+                              min_size=1, max_size=30)):
+        if draw(st.booleans()):
+            flat = tuple(flat[c * side + r] for r in range(side) for c in range(side))
+        weights[flat] = weights.get(flat, 0) + draw(st.integers(0, 10**6))
+    return side, weights
+
+
+@given(flat_weights())
+def test_merge_transposes_sums_each_matrix_with_its_transpose(case):
+    side, weights = case
+    merged = merge_transposes(weights, side)
+    assert sum(merged.values()) == sum(weights.values())
+    keys = [m.flattened for m in merged]
+    assert keys == sorted(set(keys))
+    for m, weight in merged.items():
+        assert isinstance(m, StateMatrix) and len(m.entries) == side
+        assert m.flattened <= m.transpose().flattened
+        # m and m^T are one key: their weights, and only theirs, land on it
+        orbit = {m.flattened, m.transpose().flattened}
+        assert weight == sum(w for flat, w in weights.items() if flat in orbit)

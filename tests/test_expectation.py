@@ -16,7 +16,7 @@ from idstates import (
     prevalence_experiment,
 )
 from idstates import expectation
-from idstates.expectation import _dirichlet_chunks, within_exceeds_between_fraction
+from idstates.expectation import _count_within_exceeds, _dirichlet_chunks
 
 from conftest import random_rational_vector
 
@@ -114,9 +114,9 @@ def test_report_validation():
 
 def test_fraction_zero_for_identical_rows():
     rows = np.asarray([[0.4, 0.6], [0.9, 0.1], [0.25, 0.75]])
-    assert within_exceeds_between_fraction(rows, rows.copy()) == 0.0
-    with pytest.raises(ValueError):
-        within_exceeds_between_fraction(rows, rows[:2])
+    assert _count_within_exceeds(rows, rows.copy()) == 0
+    # <p, q> against <p, p>: 0.6 > 0.52, 0.1 < 0.82, 0.75 > 0.625
+    assert _count_within_exceeds(rows, np.asarray([[0.0, 1.0]] * 3)) == 2
 
 
 def test_prevalence_reproducible_and_bounded():

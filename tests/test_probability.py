@@ -21,12 +21,11 @@ from idstates import (
     brute_force_state_distribution,
     enumerate_states,
     monte_carlo_state_distribution,
-    multinomial,
-    ordered_pair_probability,
     state_distribution,
     state_probability,
 )
 from idstates import probability
+from idstates.probability import multinomial
 from idstates.enumeration import canonicalize, state_matrix
 
 from conftest import (
@@ -122,6 +121,26 @@ def test_frequency_vector_modes():
     drift = FrequencyVector((0.1,) * 10, False)
     assert math.fsum(drift.entries) == 1.0
     assert FrequencyVector.uniform(4).entries == (Fraction(1, 4),) * 4
+
+
+def ordered_pair_probability(pair: PairMatrix, p, q):
+    """Probability of drawing exactly (row1 from p, row2 from q), in order.
+
+    The per-pair term of orbit_sum_oracle: two multinomial orderings times
+    the frequency powers, with no stabilizer or injective sum.
+    """
+    if len(p) != pair.n_objects or len(q) != pair.n_objects:
+        raise ValueError(
+            f"pair covers {pair.n_objects} objects, frequencies cover "
+            f"{len(p)} and {len(q)}"
+        )
+    k = pair.draw_size
+    out = multinomial(k, pair.row1.counts) * multinomial(k, pair.row2.counts)
+    for freq, counts in ((p, pair.row1.counts), (q, pair.row2.counts)):
+        for f, c in zip(freq, counts):
+            if c:
+                out *= f**c
+    return out
 
 
 def test_ordered_pair_probability_certain():
@@ -507,10 +526,10 @@ def test_monte_carlo_many_pairs_within_time():
 
 def test_numpy_annotations_resolve():
     # numpy is imported for type checkers only, so it is supplied here
-    from idstates.expectation import within_exceeds_between_fraction
+    from idstates.expectation import _count_within_exceeds
     from idstates.probability import _distinct_rows
 
-    for fn in (_distinct_rows, within_exceeds_between_fraction):
+    for fn in (_distinct_rows, _count_within_exceeds):
         hints = typing.get_type_hints(fn, localns={"np": np})
         assert np.ndarray in hints.values()
 
