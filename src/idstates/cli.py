@@ -30,7 +30,10 @@ The parser built by build_parser is the one table of which command takes
 which flag and of every flag's default; handlers read the parsed
 namespace directly. A command takes a flag only if it reads it (in its
 handler, _validate or _frequencies), so any other flag is a usage error.
-A flag given an empty value counts as given.
+A flag that only some requests read (--mode, expectation's --k,
+oracle-check's --seed) defaults to None and is resolved where it is
+read; a request that does not read it rejects it when given. A flag
+given an empty value counts as given.
 """
 
 from __future__ import annotations
@@ -80,16 +83,23 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _draw_size(k, force: bool) -> int:
+    """--k, once it is positive and within the guard (or forced)."""
+    if k is None or k < 1:
+        raise ValueError("--k must be a positive integer")
+    if k > DRAW_SIZE_GUARD and not force:
+        raise ValueError(
+            f"draw size {k} exceeds the guard "
+            f"({DRAW_SIZE_GUARD}); pass --force to override"
+        )
+    return k
+
+
 def _validate(args: argparse.Namespace) -> argparse.Namespace:
     """Checks that neither the parser nor the library makes."""
-    if hasattr(args, "k"):
-        if args.k is None or args.k < 1:
-            raise ValueError("--k must be a positive integer")
-        if args.k > DRAW_SIZE_GUARD and not args.force:
-            raise ValueError(
-                f"draw size {args.k} exceeds the guard "
-                f"({DRAW_SIZE_GUARD}); pass --force to override"
-            )
+    # expectation reads --k only in rational mode; its handler checks it
+    if hasattr(args, "k") and args.command != "expectation":
+        _draw_size(args.k, args.force)
     if hasattr(args, "i") and (args.i is None or args.i < 1):
         raise ValueError("--i must be a positive integer")
     if hasattr(args, "p"):
@@ -101,7 +111,7 @@ def _validate(args: argparse.Namespace) -> argparse.Namespace:
             if args.command in ("probabilities", "expectation"):
                 raise ValueError(f"{args.command} requires --freq or --p")
             # simulate reads --mode for its uniform default frequencies
-            if args.mode != "auto" and args.command != "simulate":
+            if args.mode is not None and args.command != "simulate":
                 raise ValueError(f"--mode {args.mode} needs --freq or --p")
     return args
 
@@ -114,19 +124,21 @@ config_from_args = _validate
 def _frequencies(args: argparse.Namespace, default_uniform: bool = False):
     """Resolve (p, q) from the arguments, or None when absent and no default asked.
 
-    Auto mode is decided once over the p and q values together. Commands
-    that take --i need frequencies over exactly that many objects.
+    --mode defaults to auto, decided once over the p and q values
+    together. Commands that take --i need frequencies over exactly that
+    many objects.
     """
+    mode = "auto" if args.mode is None else args.mode
     if args.freq is not None:
-        p, q = parse_frequency_file(args.freq, args.mode)
+        p, q = parse_frequency_file(args.freq, mode)
     elif args.p is not None:
         p_tokens = args.p.split(",")
         q_tokens = [] if args.q is None else args.q.split(",")
-        mode = numeric_mode(p_tokens + q_tokens, args.mode)
+        mode = numeric_mode(p_tokens + q_tokens, mode)
         p = parse_frequency_values(p_tokens, mode)
         q = parse_frequency_values(q_tokens, mode) if q_tokens else p
     elif default_uniform:
-        p = q = FrequencyVector.uniform(args.i, exact=args.mode != "float")
+        p = q = FrequencyVector.uniform(args.i, exact=mode != "float")
     else:
         return None
     if hasattr(args, "i") and len(p) != args.i:
@@ -176,8 +188,11 @@ def cmd_count_table(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_expectation(args: argparse.Namespace) -> tuple[str, int]:
     p, q = _frequencies(args)
-    report = comparison_report(p, q)
     exact = p.exact and q.exact
+    if not exact and (args.k is not None or args.force):
+        raise ValueError("--k and --force set the state-sum check, "
+                         "which runs in rational mode only")
+    report = comparison_report(p, q)
     fields = [
         ("e_pq", report.e_pq),
         ("e_pp", report.e_pp),
@@ -187,8 +202,9 @@ def cmd_expectation(args: argparse.Namespace) -> tuple[str, int]:
     ]
     if exact:
         # state-weighted route must agree bit-exactly with the closed form
-        via_states = expected_dissimilarity_via_states(args.k, p, q)
-        fields.append(("state_sum_draw_size", args.k))
+        k = _draw_size(2 if args.k is None else args.k, args.force)
+        via_states = expected_dissimilarity_via_states(k, p, q)
+        fields.append(("state_sum_draw_size", k))
         fields.append(("state_sum_matches", via_states == report.e_pq))
     return write_fields(fields, args.format), 0
 
@@ -198,9 +214,13 @@ def cmd_oracle_check(args: argparse.Namespace) -> tuple[str, int]:
     if freqs is None:
         import random
 
-        rng = random.Random(args.seed)
+        # --seed (default 0) draws the random frequencies
+        rng = random.Random(0 if args.seed is None else args.seed)
         p = _random_rational_vector(rng, args.i)
         q = _random_rational_vector(rng, args.i)
+    elif args.seed is not None:
+        raise ValueError("--seed draws random frequencies; "
+                         "it has no use with --freq or --p")
     else:
         p, q = freqs
     exact = p.exact and q.exact
@@ -329,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--p", help="inline frequencies, comma-separated")
             sp.add_argument("--q", help="inline second frequencies")
             sp.add_argument("--mode", choices=("auto", "rational", "float"),
-                            default="auto", help="numeric mode")
+                            help="numeric mode (default auto)")
         if samples:
             sp.add_argument("--samples", type=int, default=100000,
                             help="sample/trial count")
@@ -355,12 +375,15 @@ def build_parser() -> argparse.ArgumentParser:
         "state table with probabilities (frequencies required)",
         k=draw, i=True, freq=True)
     add("expectation", cmd_expectation, "expected-dissimilarity report",
-        k="draw size for the state-sum cross-check", k_default=2, freq=True)
+        k="draw size for the rational state-sum cross-check (default 2)",
+        freq=True)
     oc = add("oracle-check", cmd_oracle_check,
              "one-pass and closed-form probabilities vs exhaustive oracle",
              k=draw, i=True, freq=True, seed=True, fmt=False)
     oc.add_argument("--perturb", type=int, default=None, metavar="INDEX",
                     help="test hook: corrupt state INDEX before comparing")
+    # --seed draws random frequencies (default 0) only when none are given
+    oc.set_defaults(seed=None)
     add("simulate", cmd_simulate,
         "one-pass probabilities vs Monte Carlo (uniform p=q by default)",
         k=draw, i=True, freq=True, samples=True, seed=True, fmt=False)

@@ -22,9 +22,10 @@ I > 2K the catalog is the same as at 2K with extra all-zero columns.
 
 The canonical form of M is the row-major lexicographic minimum of M and
 its transpose; catalogs are emitted sorted by that flattened form. This
-module holds that rule: merge_transposes sums any weights keyed by
-flattened matrices onto their canonical states, and both computed state
-distributions (probability.py) end with it.
+module holds that rule on plain tuples (_pair_flat, _canonical_flat;
+state_matrix and canonicalize wrap them in validated matrices), and
+merge_transposes sums weights keyed by flattened matrices onto their
+canonical states for both computed state distributions (probability.py).
 """
 
 from __future__ import annotations
@@ -163,10 +164,15 @@ def state_matrix(pair: PairMatrix) -> StateMatrix:
     transposes the result.
     """
     side = pair.draw_size + 1
-    grid = [[0] * side for _ in range(side)]
-    for top, bottom in pair.columns:
-        grid[top][bottom] += 1
-    return StateMatrix(tuple(tuple(row) for row in grid))
+    return _unflatten(_pair_flat(pair.row1.counts, pair.row2.counts, side), side)
+
+
+def _pair_flat(row1, row2, side: int) -> tuple[int, ...]:
+    """Row-major flattened column-type matrix of two count vectors."""
+    flat = [0] * (side * side)
+    for top, bottom in zip(row1, row2):
+        flat[top * side + bottom] += 1
+    return tuple(flat)
 
 
 def canonicalize(m: StateMatrix) -> StateMatrix:

@@ -38,10 +38,10 @@ orientations at full weight. Its cost is a falling factorial in I, so it
 serves as a cross-check on small inputs.
 
 Two numeric modes: exact rationals (Fraction entries; all identities hold
-bit-exactly) and floats. Two oracles check both paths: an exhaustive
-iteration over all ordered outcome pairs, which folds each pair into its
-state with state_matrix and canonicalize and so shares no code with the
-production merge, and a seeded Monte Carlo sampler, which counts
+bit-exactly) and floats. Two oracles check both paths: an exhaustive walk
+over all ordered outcomes of each draw, which sums each pair of count
+vectors onto its canonical flattened matrix itself, sharing no code with
+the production merge, and a seeded Monte Carlo sampler, which counts
 flattened matrices and ends with merge_transposes like state_distribution.
 """
 
@@ -53,13 +53,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .core import DrawVector, PairMatrix
 from .enumeration import (
     IdentityState,
     StateMatrix,
-    canonicalize,
+    _canonical_flat,
+    _pair_flat,
+    _unflatten,
     merge_transposes,
-    state_matrix,
 )
 
 if TYPE_CHECKING:
@@ -195,14 +195,6 @@ def _injective_pair_sum(p, q, exp1, exp2, one):
     return total
 
 
-def _state_exponents(state: IdentityState):
-    n = state.n_distinct
-    return (
-        state.representative.row1.counts[:n],
-        state.representative.row2.counts[:n],
-    )
-
-
 def state_probability(state: IdentityState, p, q) -> StateProbability:
     """Probability of the state when the draws use frequencies p and q.
 
@@ -218,7 +210,8 @@ def state_probability(state: IdentityState, p, q) -> StateProbability:
     zero = Fraction(0) if exact else 0.0
     if state.n_distinct > len(p):
         return StateProbability(state, zero)
-    exp1, exp2 = _state_exponents(state)
+    exp1 = state.representative.row1.counts[: state.n_distinct]
+    exp2 = state.representative.row2.counts[: state.n_distinct]
     k = state.representative.draw_size
     weight = multinomial(k, exp1) * multinomial(k, exp2)
     divisor = (1 + state.is_symmetric) * state.stabilizer_size
@@ -234,54 +227,52 @@ def state_probability(state: IdentityState, p, q) -> StateProbability:
 def brute_force_state_distribution(
     draw_size: int, n_objects: int, p, q, force: bool = False
 ) -> dict[StateMatrix, object]:
-    """Exhaustive ground truth: iterate every ordered outcome pair.
+    """Exhaustive ground truth over every ordered outcome of both draws.
 
-    Walks all I^K ordered outcomes per side, accumulating each outcome's
-    probability (a plain product of entry frequencies) onto the canonical
-    state of its pair. No multinomials, no stabilizers: independent of the
-    closed form it checks. Exact in rational mode; the result sums to 1.
+    Sums each of the I^K ordered outcomes per side (a plain product of
+    entry frequencies) onto its count vector, then each pair's product
+    onto its canonical flattened matrix. No multinomials, no stabilizers,
+    no merge_transposes: independent of the paths it checks. Exact in
+    rational mode; the result sums to 1.
     """
     _check_freqs(p, q)
     if len(p) != n_objects:
         raise ValueError(f"frequencies cover {len(p)} objects, expected {n_objects}")
     cost = n_objects ** (2 * draw_size)
     if cost > BRUTE_FORCE_GUARD and not force:
-        raise ValueError(
-            f"{n_objects}^(2*{draw_size}) = {cost} ordered outcome pairs "
-            f"exceeds the guard ({BRUTE_FORCE_GUARD}); pass force=True to override"
-        )
+        raise ValueError(f"I^(2K) = {n_objects}^{2 * draw_size} = {cost} exceeds "
+                         f"the exhaustive oracle's guard ({BRUTE_FORCE_GUARD}); "
+                         "pass force=True (the CLI's --force) to override")
     exact = _is_exact(p) and _is_exact(q)
+    one = Fraction(1) if exact else 1.0
+    total = sum if exact else math.fsum
 
     def side_totals(freq):
         # probability mass reaching each count vector, one ordered outcome
         # at a time
         acc: dict[tuple[int, ...], list] = {}
         for outcome in itertools.product(range(n_objects), repeat=draw_size):
-            prob = Fraction(1) if exact else 1.0
+            prob = one
             counts = [0] * n_objects
             for obj in outcome:
                 prob *= freq[obj]
                 counts[obj] += 1
             acc.setdefault(tuple(counts), []).append(prob)
-        if exact:
-            return {g: sum(terms) for g, terms in acc.items()}
-        return {g: math.fsum(terms) for g, terms in acc.items()}
+        return {g: total(terms) for g, terms in acc.items()}
 
+    side = draw_size + 1
     totals1 = side_totals(p)
     totals2 = side_totals(q)
-    dist: dict[StateMatrix, list] = {}
+    dist: dict[tuple[int, ...], list] = {}
     for g1, pr1 in totals1.items():
         if not pr1:
             continue
         for g2, pr2 in totals2.items():
             if not pr2:
                 continue
-            pair = PairMatrix(DrawVector(g1), DrawVector(g2))
-            key = canonicalize(state_matrix(pair))
+            key = _canonical_flat(_pair_flat(g1, g2, side), side)
             dist.setdefault(key, []).append(pr1 * pr2)
-    if exact:
-        return {key: sum(terms) for key, terms in dist.items()}
-    return {key: math.fsum(terms) for key, terms in dist.items()}
+    return {_unflatten(key, side): total(terms) for key, terms in dist.items()}
 
 
 def state_distribution(draw_size: int, p, q) -> dict[StateMatrix, object]:

@@ -244,6 +244,7 @@ def test_guard_rejects_large_draw_size(capsys):
 def test_oracle_guard_respected(capsys):
     code, _, err = run_cli(capsys, "oracle-check", "--k", "5", "--i", "10")
     assert code == 1 and "guard" in err
+    assert "I^(2K) = 10^10" in err and "--force" in err
 
 
 def test_missing_frequency_file(capsys, tmp_path):
@@ -549,6 +550,17 @@ def test_freq_and_inline_conflict(capsys, tmp_path):
     ["enumerate", "--k", "2", "--i", "3", "--mode", "rational"],
     ["oracle-check", "--k", "2", "--i", "3", "--mode", "float"],
     ["oracle-check", "--k", "2", "--i", "3", "--mode", "rational"],
+    # a flag given its default value is still given
+    ["enumerate", "--k", "2", "--i", "3", "--mode", "auto"],
+    ["oracle-check", "--k", "2", "--i", "3", "--mode", "auto"],
+    # oracle-check reads --seed only to draw frequencies; float expectation
+    # runs no state-sum check, so it reads neither --k nor --force
+    ["oracle-check", "--k", "2", "--i", "3", "--p", "1/2,1/4,1/4", "--seed", "5"],
+    ["oracle-check", "--k", "2", "--i", "3", "--p", "1/2,1/4,1/4", "--seed", "0"],
+    ["expectation", "--k", "7", "--p", "0.5,0.5"],
+    ["expectation", "--k", "9", "--p", "0.5,0.5"],
+    ["expectation", "--k", "2", "--p", "0.5,0.5"],
+    ["expectation", "--force", "--p", "0.5,0.5"],
     # an empty value counts as given
     ["enumerate", "--k", "2", "--i", "2", "--p", ""],
     ["enumerate", "--k", "2", "--i", "2", "--out", ""],
@@ -568,6 +580,17 @@ def test_mode_without_frequencies_sets_the_simulate_default(capsys):
     code, out, _ = run_cli(capsys, "oracle-check", "--k", "2", "--i", "3",
                            "--p", "1/2,1/4,1/4", "--mode", "float")
     assert code == 0 and "mode=float" in out
+
+
+def test_flags_some_requests_read_default_where_read(capsys):
+    # an unread --k is named, not checked against the draw-size guard
+    code, _, err = run_cli(capsys, "expectation", "--k", "9", "--p", "0.5,0.5")
+    assert code == 1 and "--k" in err and "guard" not in err
+    code, out, _ = run_cli(capsys, "expectation", "--p", "1/2,1/2", "--format", "records")
+    assert code == 0 and json.loads(out)["state_sum_draw_size"] == 2
+    seeded = run_cli(capsys, "oracle-check", "--k", "2", "--i", "3", "--seed", "0")
+    assert seeded[0] == 0
+    assert run_cli(capsys, "oracle-check", "--k", "2", "--i", "3") == seeded
 
 
 FREQUENCY_FLAGS = ["--freq", "--p", "--q", "--mode"]

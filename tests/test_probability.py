@@ -18,6 +18,7 @@ from idstates import (
     FrequencyVector,
     IdentityState,
     PairMatrix,
+    StateMatrix,
     brute_force_state_distribution,
     enumerate_states,
     monte_carlo_state_distribution,
@@ -324,8 +325,53 @@ def test_brute_force_total_and_degenerate():
 
 def test_brute_force_guard():
     p = FrequencyVector.uniform(10).entries
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"I\^\(2K\) = 10\^10 = 10000000000 exceeds"):
         brute_force_state_distribution(5, 10, p, p)
+
+
+def object_path_oracle(draw_size, n_objects, p, q):
+    """The exhaustive oracle with a fold through validated objects per pair.
+
+    Sums the ordered outcomes of each draw onto their count vectors, then
+    keys each pair of count vectors on conftest.canonical_key (DrawVector,
+    PairMatrix, state_matrix, canonicalize). Sums per key with sum, or with
+    math.fsum in float mode.
+    """
+    exact = all(isinstance(v, (int, Fraction)) for v in (*p, *q))
+    total = sum if exact else math.fsum
+
+    def side_totals(freq):
+        acc = {}
+        for outcome in itertools.product(range(n_objects), repeat=draw_size):
+            prob = Fraction(1) if exact else 1.0
+            for obj in outcome:
+                prob *= freq[obj]
+            counts = tuple(outcome.count(obj) for obj in range(n_objects))
+            acc.setdefault(counts, []).append(prob)
+        return {g: total(terms) for g, terms in acc.items()}
+
+    totals2 = side_totals(q)
+    dist = {}
+    for g1, pr1 in side_totals(p).items():
+        for g2, pr2 in totals2.items():
+            if pr1 and pr2:
+                dist.setdefault(canonical_key(g1, g2), []).append(pr1 * pr2)
+    return {key: total(terms) for key, terms in dist.items()}
+
+
+def test_brute_force_builds_one_state_matrix_per_state(monkeypatch):
+    built = {StateMatrix: 0, DrawVector: 0, PairMatrix: 0}
+    for cls in built:
+        def counting(self, original=cls.__post_init__, cls=cls):
+            built[cls] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    rng = random.Random(71)
+    p = random_rational_vector(rng, 4, force_zeros=1)
+    q = random_rational_vector(rng, 4)
+    dist = brute_force_state_distribution(3, 4, p, q)
+    assert built == {StateMatrix: len(dist), DrawVector: 0, PairMatrix: 0}
 
 
 def test_brute_force_matches_closed_form():
@@ -552,10 +598,10 @@ def test_state_distribution_beyond_closed_form_reach():
 
 
 @st.composite
-def rational_case(draw):
-    """(K, I, p, q) with K <= 3, I <= 5, zero entries allowed, p = q at times."""
+def rational_case(draw, max_objects=5):
+    """(K, I, p, q) with K <= 3, I <= max_objects, zeros allowed, p = q at times."""
     k = draw(st.integers(1, 3))
-    i = draw(st.integers(1, 5))
+    i = draw(st.integers(1, max_objects))
     weights = st.lists(st.integers(0, 6), min_size=i, max_size=i).filter(any)
     p = draw(weights)
     q = p if draw(st.booleans()) else draw(weights)
@@ -579,3 +625,16 @@ def test_state_distribution_matches_closed_form_and_oracle(case):
     assert floats.keys() == dist.keys()
     for m, value in dist.items():
         assert abs(floats[m] - value) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(rational_case(max_objects=4), st.booleans())
+def test_brute_force_matches_object_path(case, floats):
+    k, i, p, q = case
+    if floats:
+        p, q = [float(v) for v in p], [float(v) for v in q]
+    got = brute_force_state_distribution(k, i, p, q)
+    want = object_path_oracle(k, i, p, q)
+    # same keys, values and value types, in the same order
+    assert [(m, v, type(v)) for m, v in got.items()] == [
+        (m, v, type(v)) for m, v in want.items()]
