@@ -21,18 +21,19 @@ States for I < 2K are the subset whose pairs fit in I columns; for
 I > 2K the catalog is the same as at 2K with extra all-zero columns.
 
 The canonical form of M is the row-major lexicographic minimum of M and
-its transpose; catalogs are emitted sorted by that flattened form. This
-module holds that rule on plain tuples (_pair_flat, _canonical_flat;
-state_matrix and canonicalize wrap them in validated matrices), and
-merge_transposes sums weights keyed by flattened matrices onto their
-canonical states for both computed state distributions (probability.py).
+its transpose; catalogs are emitted sorted by that flattened form. That
+tuple is the one matrix format: a StateMatrix holds it as its only field,
+every producer passes its tuple straight in, and the rules here
+(_pair_flat, _canonical_flat) work on it too. merge_transposes sums
+weights keyed by flattened matrices onto their canonical states for both
+computed state distributions (probability.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from math import factorial
+from functools import lru_cache
+from math import factorial, isqrt
 from operator import mul
 
 from .core import DissimilarityValue, DrawVector, PairMatrix
@@ -42,26 +43,27 @@ from .core import DissimilarityValue, DrawVector, PairMatrix
 class StateMatrix:
     """(K+1) x (K+1) column-type count matrix for a pair of size-K draws.
 
-    Entry (i, j) (0-based) counts columns whose top entry is i and bottom
-    entry is j. Both weighted sums sum(i * entries[i][j]) and
-    sum(j * entries[i][j]) equal K, and the total of all entries is the
-    number of object slots I.
+    Held as its row-major flattening: entry (i, j) (0-based) is
+    flattened[i * (K+1) + j] and counts columns whose top entry is i and
+    bottom entry is j. Both weighted sums sum(i * M_ij) and sum(j * M_ij)
+    equal K, and the total of all entries is the number of object slots
+    I. entries gives the rows.
     """
 
-    entries: tuple[tuple[int, ...], ...]
+    flattened: tuple[int, ...]
 
     def __post_init__(self):
-        grid = tuple(tuple(map(int, row)) for row in self.entries)
-        object.__setattr__(self, "entries", grid)
-        side = len(grid)
-        if side < 2 or any(len(row) != side for row in grid):
+        flat = tuple(map(int, self.flattened))
+        object.__setattr__(self, "flattened", flat)
+        side = isqrt(len(flat))
+        if side < 2 or side * side != len(flat):
             raise ValueError("state matrix must be square with side >= 2")
-        if min(map(min, grid)) < 0:
+        if min(flat) < 0:
             raise ValueError("state matrix entries must be nonnegative")
         k = side - 1
         # the weighted sums from the row sums and the column sums
-        top = sum(map(mul, range(side), map(sum, grid)))
-        bottom = sum(map(mul, range(side), map(sum, zip(*grid))))
+        top = sum(map(mul, range(side), _row_sums(flat, side)))
+        bottom = sum(c * sum(flat[c::side]) for c in range(side))
         if top != k or bottom != k:
             raise ValueError(
                 f"weighted sums ({top}, {bottom}) do not match draw size {k}"
@@ -69,22 +71,20 @@ class StateMatrix:
 
     @property
     def draw_size(self) -> int:
-        return len(self.entries) - 1
+        return isqrt(len(self.flattened)) - 1
 
     @property
     def n_objects(self) -> int:
-        return sum(v for row in self.entries for v in row)
+        return sum(self.flattened)
 
-    @cached_property
-    def flattened(self) -> tuple[int, ...]:
-        """Row-major flattening; the sort/dedup key for canonical forms.
-
-        Computed once per matrix; not a field, so == and hash ignore it.
-        """
-        return tuple(v for row in self.entries for v in row)
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The rows, sliced from the flattening."""
+        side = self.draw_size + 1
+        return tuple(self.flattened[r * side : (r + 1) * side] for r in range(side))
 
     def transpose(self) -> "StateMatrix":
-        return StateMatrix(tuple(zip(*self.entries)))
+        return StateMatrix(_transpose_flat(self.flattened, self.draw_size + 1))
 
 
 @dataclass(frozen=True)
@@ -120,10 +120,10 @@ class IdentityState:
     row_equal: bool = field(init=False)
 
     def __post_init__(self):
-        grid = self.canonical_matrix.entries
-        side = len(grid)
         flat = self.canonical_matrix.flattened
-        if _canonical_flat(flat, side) != flat:
+        side = self.canonical_matrix.draw_size + 1
+        transposed = _transpose_flat(flat, side)
+        if transposed < flat:
             raise ValueError("matrix is not in canonical (transpose-minimal) form")
         k = side - 1
         tops: list[int] = []
@@ -142,14 +142,13 @@ class IdentityState:
         nonzero_cols = len(tops)
         tops += [0] * flat[0]
         bottoms += [0] * flat[0]
-        transposed = tuple(zip(*grid))
         derived = {
             "representative": PairMatrix(DrawVector(tops), DrawVector(bottoms)),
             "dissimilarity": DissimilarityValue(k * k - overlap, k * k),
             "n_distinct": nonzero_cols,
-            "is_symmetric": grid == transposed,
+            "is_symmetric": flat == transposed,
             "stabilizer_size": stab,
-            "row_equiv": tuple(map(sum, grid)) == tuple(map(sum, transposed)),
+            "row_equiv": _row_sums(flat, side) == _row_sums(transposed, side),
             # every column on the diagonal: top == bottom
             "row_equal": sum(flat[:: side + 1]) == len(tops),
         }
@@ -164,7 +163,7 @@ def state_matrix(pair: PairMatrix) -> StateMatrix:
     transposes the result.
     """
     side = pair.draw_size + 1
-    return _unflatten(_pair_flat(pair.row1.counts, pair.row2.counts, side), side)
+    return StateMatrix(_pair_flat(pair.row1.counts, pair.row2.counts, side))
 
 
 def _pair_flat(row1, row2, side: int) -> tuple[int, ...]:
@@ -177,8 +176,7 @@ def _pair_flat(row1, row2, side: int) -> tuple[int, ...]:
 
 def canonicalize(m: StateMatrix) -> StateMatrix:
     """Canonical form under transpose: the flattening-smaller of m, m^T."""
-    side = len(m.entries)
-    return _unflatten(_canonical_flat(m.flattened, side), side)
+    return StateMatrix(_canonical_flat(m.flattened, m.draw_size + 1))
 
 
 @lru_cache(maxsize=None)
@@ -187,8 +185,16 @@ def _transpose_index(side: int) -> tuple[int, ...]:
     return tuple((pos % side) * side + pos // side for pos in range(side * side))
 
 
+def _transpose_flat(flat: tuple[int, ...], side: int) -> tuple[int, ...]:
+    return tuple(map(flat.__getitem__, _transpose_index(side)))
+
+
 def _canonical_flat(flat: tuple[int, ...], side: int) -> tuple[int, ...]:
-    return min(flat, tuple(map(flat.__getitem__, _transpose_index(side))))
+    return min(flat, _transpose_flat(flat, side))
+
+
+def _row_sums(flat: tuple[int, ...], side: int) -> list[int]:
+    return [sum(flat[r * side : (r + 1) * side]) for r in range(side)]
 
 
 def merge_transposes(
@@ -205,7 +211,7 @@ def merge_transposes(
     for flat, weight in weights.items():
         flat = _canonical_flat(flat, side)
         merged[flat] = merged.get(flat, 0) + weight
-    return {_unflatten(flat, side): merged[flat] for flat in sorted(merged)}
+    return {StateMatrix(flat): merged[flat] for flat in sorted(merged)}
 
 
 @lru_cache(maxsize=None)
@@ -246,11 +252,6 @@ def _canonical_flat_keys(draw_size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(keys)
 
 
-def _unflatten(flat: tuple[int, ...], side: int) -> StateMatrix:
-    rows = tuple(flat[r * side : (r + 1) * side] for r in range(side))
-    return StateMatrix(rows)
-
-
 def _check_sizes(draw_size: int, objects: int):
     if draw_size < 1:
         raise ValueError(f"draw size must be >= 1, got {draw_size}")
@@ -268,11 +269,10 @@ def enumerate_states(draw_size: int, n_objects: int) -> list[IdentityState]:
     """
     _check_sizes(draw_size, n_objects)
     span = 2 * draw_size
-    side = draw_size + 1
     # M_00 = I - (nonzero columns) moves entry 0 of every sorted key by the
     # same constant, so the keys' order is the catalog order
     return [
-        IdentityState(_unflatten((n_objects - span + flat[0],) + flat[1:], side))
+        IdentityState(StateMatrix((n_objects - span + flat[0],) + flat[1:]))
         for flat in _canonical_flat_keys(draw_size)
         if span - flat[0] <= n_objects
     ]

@@ -58,7 +58,6 @@ from .enumeration import (
     StateMatrix,
     _canonical_flat,
     _pair_flat,
-    _unflatten,
     merge_transposes,
 )
 
@@ -113,7 +112,7 @@ class FrequencyVector:
         else:
             values = tuple(float(v) for v in values)
             total = math.fsum(values)
-            if abs(total - 1.0) > self.SUM_TOLERANCE:
+            if not abs(total - 1.0) <= self.SUM_TOLERANCE:  # NaN fails too
                 raise ValueError(f"frequencies sum to {total:.12g}, expected 1")
             if total != 1.0:
                 values = tuple(v / total for v in values)
@@ -168,6 +167,8 @@ def multinomial(total: int, parts) -> int:
 def _check_freqs(p, q):
     if len(p) != len(q):
         raise ValueError(f"frequency length mismatch: {len(p)} vs {len(q)}")
+    if not len(p):
+        raise ValueError("frequency vectors must not be empty")
 
 
 def _injective_pair_sum(p, q, exp1, exp2, one):
@@ -272,7 +273,7 @@ def brute_force_state_distribution(
                 continue
             key = _canonical_flat(_pair_flat(g1, g2, side), side)
             dist.setdefault(key, []).append(pr1 * pr2)
-    return {_unflatten(key, side): total(terms) for key, terms in dist.items()}
+    return {StateMatrix(key): total(terms) for key, terms in dist.items()}
 
 
 def state_distribution(draw_size: int, p, q) -> dict[StateMatrix, object]:

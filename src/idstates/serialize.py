@@ -34,7 +34,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import isqrt
 
 from .core import DissimilarityValue
 from .enumeration import IdentityState, StateMatrix
@@ -249,9 +248,7 @@ def _parse_state_table(text: str, fmt: str) -> StateTable:
         exact = not has_prob or "probability_float" in records[0]
         states, probs = [], []
         for rec in records:
-            m = rec["m"].split() if fmt == "csv" else rec["m"]
-            side = isqrt(len(m))
-            matrix = StateMatrix(tuple(m[r * side:(r + 1) * side] for r in range(side)))
+            matrix = StateMatrix(rec["m"].split() if fmt == "csv" else rec["m"])
             if (matrix.draw_size, matrix.n_objects) != (k, i):
                 raise ValueError(f"matrix {matrix.flattened} is not K={k}, I={i}")
             states.append(IdentityState(matrix))

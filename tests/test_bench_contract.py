@@ -12,12 +12,15 @@ import importlib
 import importlib.util
 import inspect
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import idstates.cli as cli
 import idstates.expectation as expectation
+from idstates import FrequencyVector, brute_force_state_distribution, state_probability
+from idstates.serialize import parse_state_csv, parse_state_records
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -95,3 +98,28 @@ def test_every_benchmark_request_parses(tmp_path):
                   "--perturb", "0"])
     for argv in argvs:
         cli._validate(cli.build_parser().parse_args(argv))
+
+
+def test_attributes_the_benchmark_reads(capsys):
+    """Attributes bench/ reads from package objects: the workload checks read
+    parsed tables and compare their matrices with the oracle's keys, and the
+    tracer reads FrequencyVector.exact and StateProbability.value."""
+    p, q = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)), (Fraction(1, 3),) * 3
+    inline = ["--p", ",".join(map(str, p)), "--q", ",".join(map(str, q))]
+    oracle = brute_force_state_distribution(2, 3, p, q)
+    for fmt, parse in (("records", parse_state_records), ("csv", parse_state_csv)):
+        assert cli.main(["probabilities", "--k", "2", "--i", "3", "--format", fmt,
+                         *inline]) == 0
+        table = parse(capsys.readouterr().out)
+        assert (table.draw_size, table.n_objects, table.exact) == (2, 3, True)
+        assert len(table.states) == len(table.probabilities) > 0
+        probs = dict(zip((s.canonical_matrix for s in table.states),
+                         table.probabilities))
+        assert probs == oracle
+        for m in probs:
+            assert type(m.flattened) is tuple and len(m.flattened) == 9
+            assert all(type(v) is int for v in m.flattened)
+    assert FrequencyVector(p, True).exact
+    assert not FrequencyVector((0.5, 0.5), False).exact
+    state = table.states[0]
+    assert state_probability(state, p, q).value == probs[state.canonical_matrix]

@@ -51,12 +51,12 @@ def test_state_matrix_column_permutation_invariant():
 
 
 def test_canonicalize_properties():
-    m = StateMatrix(((2, 1, 0), (0, 0, 0), (0, 1, 0)))
+    m = StateMatrix((2, 1, 0, 0, 0, 0, 0, 1, 0))
     c = canonicalize(m)
     assert canonicalize(c) == c
     assert canonicalize(m.transpose()) == c
     assert c in (m, m.transpose())
-    sym = StateMatrix(((2, 0, 0), (0, 2, 0), (0, 0, 0)))
+    sym = StateMatrix((2, 0, 0, 0, 2, 0, 0, 0, 0))
     assert canonicalize(sym) == sym
 
 
@@ -222,19 +222,45 @@ def test_state_from_matrix_rejects_noncanonical():
 def test_state_matrix_validation():
     mismatch = r"weighted sums \({}, {}\) do not match draw size 1"
     with pytest.raises(ValueError, match=mismatch.format(0, 0)):
-        StateMatrix(((1, 0), (0, 0)))
+        StateMatrix((1, 0, 0, 0))
     # the top sum weights rows, the bottom sum weights columns
     with pytest.raises(ValueError, match=mismatch.format(1, 0)):
-        StateMatrix(((0, 0), (1, 0)))
+        StateMatrix((0, 0, 1, 0))
+    # lengths that are not a square: a 2 x 3 grid, a ragged one, an empty one
     with pytest.raises(ValueError, match="square with side >= 2"):
-        StateMatrix(((1, 0, 0), (0, 1, 0)))
+        StateMatrix((1, 0, 0, 0, 1, 0))
     with pytest.raises(ValueError, match="square with side >= 2"):
-        StateMatrix(((1, 0), (0,)))
+        StateMatrix((1, 0, 0))
     with pytest.raises(ValueError, match="square with side >= 2"):
-        StateMatrix(((1,),))
+        StateMatrix(())
+    with pytest.raises(ValueError, match="square with side >= 2"):
+        StateMatrix((1,))
     with pytest.raises(ValueError, match="nonnegative"):
-        StateMatrix(((3, -1, 1), (0, 0, 0), (1, 0, 0)))
-    assert StateMatrix([[1.0, 0], [0, "1"]]).entries == ((1, 0), (0, 1))
+        StateMatrix((3, -1, 1, 0, 0, 0, 1, 0, 0))
+    m = StateMatrix([1.0, 0, 0, "1"])
+    assert m.flattened == (1, 0, 0, 1) and m.entries == ((1, 0), (0, 1))
+    assert m == StateMatrix((1, 0, 0, 1)) and hash(m) == hash(StateMatrix((1, 0, 0, 1)))
+
+
+def test_catalog_matrices_match_a_rows_reference():
+    """Each catalog matrix for K <= 6, I = K..2K, against rows built in the
+    test: the flattening round-trips, entries are its rows, and the transpose,
+    symmetry and row-sum flags agree with zip(*rows)."""
+    for k in range(1, 7):
+        for i in range(k, 2 * k + 1):
+            for state in enumerate_states(k, i):
+                m = state.canonical_matrix
+                flat = m.flattened
+                assert StateMatrix(flat) == m
+                assert tuple(v for row in m.entries for v in row) == flat
+                rows = tuple(flat[r * (k + 1) : (r + 1) * (k + 1)] for r in range(k + 1))
+                assert m.entries == rows
+                columns = tuple(zip(*rows))
+                assert m.transpose().entries == columns
+                assert m.transpose().transpose() == m
+                assert state.is_symmetric == (rows == columns)
+                assert state.row_equiv == (list(map(sum, rows)) == list(map(sum, columns)))
+                assert (m.draw_size, m.n_objects) == (k, i)
 
 
 

@@ -119,6 +119,11 @@ def test_frequency_vector_modes():
         FrequencyVector((0.8, 0.2), True)  # floats not exact
     with pytest.raises(ValueError):
         FrequencyVector((), True)
+    # a NaN sum is not within the tolerance; it would renormalize to NaNs
+    nan = float("nan")
+    for values in ((nan, 1.0), (nan,), (0.5, 0.5, nan)):
+        with pytest.raises(ValueError, match="expected 1"):
+            FrequencyVector(values, False)
     drift = FrequencyVector((0.1,) * 10, False)
     assert math.fsum(drift.entries) == 1.0
     assert FrequencyVector.uniform(4).entries == (Fraction(1, 4),) * 4
@@ -585,6 +590,19 @@ def test_state_distribution_argument_checks():
         state_distribution(2, (HALF, HALF), (HALF, HALF, Fraction(0)))
     with pytest.raises(ValueError):
         state_distribution(0, (HALF, HALF), (HALF, HALF))
+
+
+def test_empty_frequency_vectors_rejected():
+    state = enumerate_states(1, 1)[0]
+    calls = [
+        lambda: state_distribution(2, [], []),
+        lambda: brute_force_state_distribution(2, 0, [], []),
+        lambda: monte_carlo_state_distribution(2, 0, [], [], n_samples=10, seed=1),
+        lambda: state_probability(state, [], []),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="frequency vectors must not be empty"):
+            call()
 
 
 def test_state_distribution_beyond_closed_form_reach():
