@@ -28,6 +28,7 @@ from .enumeration import enumerate_states
 # state_probability is unused here but stays importable: bench/trace_child.py wraps it
 from .probability import (  # noqa: F401
     SAMPLE_CHUNK,
+    _check_freqs,
     state_distribution,
     state_probability,
 )
@@ -60,6 +61,7 @@ class ExpectationReport:
 
 def expected_dissimilarity(p, q):
     """Closed-form expected dissimilarity: 1 - <p, q> (draw-size independent)."""
+    _check_freqs(p, q)
     return 1 - inner_product(p, q)
 
 
@@ -111,22 +113,18 @@ def _count_within_exceeds(p_rows: np.ndarray, q_rows: np.ndarray) -> int:
 DIRICHLET_ROUNDS = 100
 
 
-def _dirichlet_chunks(rng, concentration: float, n_rows: int, n_cols: int):
-    """Yield (row indices, normalized rows) of an n_rows x n_cols Dirichlet block.
+def _gamma_chunks(rng, concentration: float, n_rows: int, n_cols: int):
+    """Yield (start, Gamma rows, row sums) of an n_rows x n_cols block.
 
-    Symmetric Dirichlet via the normalized-Gamma construction, drawn
-    SAMPLE_CHUNK rows at a time. Every index is yielded exactly once.
-    Rows whose Gamma entries all underflow to 0 (measure zero, but real at
-    tiny concentrations) are held back and redrawn together after the
-    last chunk, a bounded number of rounds, as one whole-block draw
-    followed by its redraws would.
+    Draws SAMPLE_CHUNK rows at a time; consecutive Gamma calls continue the
+    stream exactly as one whole-block call would. The rows are not
+    normalized: a row sum of 0 marks a row whose entries all underflowed.
     """
     import numpy as np
 
-    deferred: list[int] = []
     for start in range(0, n_rows, SAMPLE_CHUNK):
-        raw = rng.gamma(shape=concentration, scale=1.0,
-                        size=(min(SAMPLE_CHUNK, n_rows - start), n_cols))
+        raw = rng.standard_gamma(
+            concentration, size=(min(SAMPLE_CHUNK, n_rows - start), n_cols))
         # Gamma draws near the float maximum overflow their row sum to inf,
         # and the normalized rows would be NaN
         with np.errstate(over="ignore"):
@@ -135,15 +133,19 @@ def _dirichlet_chunks(rng, concentration: float, n_rows: int, n_cols: int):
             raise ValueError(
                 f"concentration {concentration} is too large: Gamma row sums overflow"
             )
-        zero = np.flatnonzero(totals[:, 0] == 0.0)
-        if len(zero):
-            deferred.extend(zero + start)
-            kept = np.flatnonzero(totals[:, 0])
-            yield kept + start, raw[kept] / totals[kept]
-        else:
-            raw /= totals
-            yield slice(start, start + len(raw)), raw
-    redraw = np.array(deferred, dtype=np.intp)
+        yield start, raw, totals
+
+
+def _redraws(rng, concentration: float, n_rows: int, n_cols: int):
+    """Yield (positions, normalized rows) as n_rows all-zero rows are redrawn.
+
+    Each round redraws together every row still all-zero; positions index
+    the n_rows in their original order. A row is drawn at most
+    DIRICHLET_ROUNDS times, counting the draw that first underflowed.
+    """
+    import numpy as np
+
+    redraw = np.arange(n_rows)
     rounds = 1
     while len(redraw):
         if rounds == DIRICHLET_ROUNDS:
@@ -151,12 +153,39 @@ def _dirichlet_chunks(rng, concentration: float, n_rows: int, n_cols: int):
                 f"concentration {concentration} is too small: Gamma draws "
                 f"still underflow to all-zero rows after {rounds} rounds"
             )
-        raw = rng.gamma(shape=concentration, scale=1.0, size=(len(redraw), n_cols))
+        raw = rng.standard_gamma(concentration, size=(len(redraw), n_cols))
         totals = raw.sum(axis=1, keepdims=True)
         kept = np.flatnonzero(totals[:, 0])
         yield redraw[kept], raw[kept] / totals[kept]
         redraw = redraw[totals[:, 0] == 0.0]
         rounds += 1
+
+
+def _dirichlet_chunks(rng, concentration: float, n_rows: int, n_cols: int):
+    """Yield (row indices, normalized rows) of an n_rows x n_cols Dirichlet block.
+
+    Symmetric Dirichlet via the normalized-Gamma construction, in the
+    stream order prevalence_experiment replays: the rows of each chunk of
+    _gamma_chunks, then the rows whose Gamma entries all underflowed to 0
+    (measure zero, but real at tiny concentrations), redrawn together
+    after the last chunk as one whole-block draw followed by its redraws
+    would. Every index is yielded exactly once.
+    """
+    import numpy as np
+
+    deferred = []
+    for start, raw, totals in _gamma_chunks(rng, concentration, n_rows, n_cols):
+        zero = np.flatnonzero(totals[:, 0] == 0.0)
+        if len(zero):
+            deferred.append(zero + start)
+            kept = np.flatnonzero(totals[:, 0])
+            yield kept + start, raw[kept] / totals[kept]
+        else:
+            raw /= totals
+            yield slice(start, start + len(raw)), raw
+    deferred = np.concatenate(deferred) if deferred else np.empty(0, np.intp)
+    for positions, rows in _redraws(rng, concentration, len(deferred), n_cols):
+        yield deferred[positions], rows
 
 
 def prevalence_experiment(
@@ -169,10 +198,15 @@ def prevalence_experiment(
     fraction of trials where it holds; reproducible per seed.
 
     The stream holds the whole p block, with its redraws, before any
-    q-draw, and consecutive Gamma calls continue it exactly as one call
-    would. So p is drawn in chunks and kept whole (n_trials * n_objects
-    float64), while each q chunk is compared with its p rows as soon as it
-    is drawn: the result is the one that drawing both blocks whole gives.
+    q-draw (the order of _dirichlet_chunks), so p is drawn twice rather
+    than kept. The first pass draws p only to move the generator to where
+    q starts, normalizing nothing and keeping just the p rows redrawn
+    after the last chunk. The second replays p from a fresh generator of
+    the same seed in step with q, comparing each q chunk with its p rows
+    as soon as it is drawn; a q row redrawn after the last chunk holds its
+    p row until the redraw arrives. Memory is O(SAMPLE_CHUNK + redrawn
+    rows) whatever n_trials, and the result is the one that drawing both
+    blocks whole gives.
     """
     if n_objects < 2:
         raise ValueError(f"need at least two objects, got {n_objects}")
@@ -185,10 +219,35 @@ def prevalence_experiment(
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    p_rows = np.empty((n_trials, n_objects))
-    for rows, block in _dirichlet_chunks(rng, concentration, n_trials, n_objects):
-        p_rows[rows] = block
+    # pass 1: move rng past the p block, keeping only p's redrawn rows
+    n_late = sum(int(np.count_nonzero(totals == 0.0)) for _, _, totals in
+                 _gamma_chunks(rng, concentration, n_trials, n_objects))
+    late_p = np.empty((n_late, n_objects))
+    for positions, rows in _redraws(rng, concentration, n_late, n_objects):
+        late_p[positions] = rows
+    # pass 2: replay p in step with q; the chunks meet their redrawn p rows
+    # in the order pass 1 counted them
+    used = 0
+    held_p = []
     count = 0
-    for rows, block in _dirichlet_chunks(rng, concentration, n_trials, n_objects):
-        count += _count_within_exceeds(p_rows[rows], block)
+    for (_, p, p_totals), (_, q, q_totals) in zip(
+        _gamma_chunks(np.random.default_rng(seed), concentration, n_trials, n_objects),
+        _gamma_chunks(rng, concentration, n_trials, n_objects),
+    ):
+        p_zero = p_totals[:, 0] == 0.0
+        n_zero = int(np.count_nonzero(p_zero))
+        p_totals[p_zero] = 1.0  # an all-zero row stays 0 until replaced
+        p /= p_totals
+        p[p_zero] = late_p[used:used + n_zero]
+        used += n_zero
+        q_zero = q_totals[:, 0] == 0.0
+        if q_zero.any():
+            held_p.append(p[q_zero])
+            p, q, q_totals = p[~q_zero], q[~q_zero], q_totals[~q_zero]
+        q /= q_totals
+        count += _count_within_exceeds(p, q)
+    if held_p:
+        held_p = np.concatenate(held_p)
+        for positions, rows in _redraws(rng, concentration, len(held_p), n_objects):
+            count += _count_within_exceeds(held_p[positions], rows)
     return count / n_trials

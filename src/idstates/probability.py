@@ -169,6 +169,10 @@ def _check_freqs(p, q):
         raise ValueError(f"frequency length mismatch: {len(p)} vs {len(q)}")
     if not len(p):
         raise ValueError("frequency vectors must not be empty")
+    for v in itertools.chain(p, q):
+        # NaN fails both comparisons
+        if not 0 <= v < math.inf:
+            raise ValueError(f"frequencies must be finite and nonnegative, got {v}")
 
 
 def _injective_pair_sum(p, q, exp1, exp2, one):

@@ -408,6 +408,12 @@ SAMPLING_OUTPUTS = [
      ["prevalence", "--i", "3", "--samples", "1000", "--seed", "3",
       "--concentration", "0.001"],
      "c95bac3fa461e641b7886829b56956f5e4a155f7108aad47314813f233f91a8e"),
+    # four chunks; 5452 p rows underflow to zero and are redrawn after the
+    # last one
+    ("prevalence-i3-multi-chunk-redraw",
+     ["prevalence", "--i", "3", "--samples", "50000", "--seed", "3",
+      "--concentration", "0.001"],
+     "80c920190e44578faa4b87168e4bc2a0eab8e9737c3d74424121dd4fb6e17a6c"),
     ("prevalence-i5-csv",
      ["prevalence", "--i", "5", "--samples", "2000", "--seed", "15",
       "--format", "csv"],

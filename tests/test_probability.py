@@ -21,6 +21,7 @@ from idstates import (
     StateMatrix,
     brute_force_state_distribution,
     enumerate_states,
+    expected_dissimilarity,
     monte_carlo_state_distribution,
     state_distribution,
     state_probability,
@@ -603,6 +604,28 @@ def test_empty_frequency_vectors_rejected():
     for call in calls:
         with pytest.raises(ValueError, match="frequency vectors must not be empty"):
             call()
+
+
+@pytest.mark.parametrize("bad", [
+    [1.5, -0.5],  # sums to 1, so only the value check can catch it
+    [math.nan, 1.0],
+    [math.inf, 0.0],
+    [Fraction(-1, 2), Fraction(3, 2)],
+], ids=["negative", "nan", "inf", "negative-fraction"])
+def test_frequency_values_rejected(bad):
+    state = enumerate_states(2, 2)[0]
+    good = [0.5, 0.5]
+    calls = [
+        lambda p, q: state_distribution(2, p, q),
+        lambda p, q: brute_force_state_distribution(2, 2, p, q),
+        lambda p, q: monte_carlo_state_distribution(2, 2, p, q, n_samples=10, seed=1),
+        lambda p, q: state_probability(state, p, q),
+        expected_dissimilarity,
+    ]
+    for call in calls:
+        for p, q in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="must be finite and nonnegative"):
+                call(p, q)
 
 
 def test_state_distribution_beyond_closed_form_reach():
