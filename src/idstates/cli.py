@@ -102,6 +102,8 @@ def _validate(args: argparse.Namespace) -> argparse.Namespace:
         _draw_size(args.k, args.force)
     if hasattr(args, "i") and (args.i is None or args.i < 1):
         raise ValueError("--i must be a positive integer")
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        raise ValueError("--seed must be a non-negative integer")
     if hasattr(args, "p"):
         if args.q is not None and args.p is None:
             raise ValueError("--q needs --p")

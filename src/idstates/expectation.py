@@ -27,8 +27,8 @@ from .core import inner_product
 from .enumeration import enumerate_states
 # state_probability is unused here but stays importable: bench/trace_child.py wraps it
 from .probability import (  # noqa: F401
-    SAMPLE_CHUNK,
     _check_freqs,
+    _chunks,
     state_distribution,
     state_probability,
 )
@@ -113,18 +113,16 @@ def _count_within_exceeds(p_rows: np.ndarray, q_rows: np.ndarray) -> int:
 DIRICHLET_ROUNDS = 100
 
 
-def _gamma_chunks(rng, concentration: float, n_rows: int, n_cols: int):
-    """Yield (start, Gamma rows, row sums) of an n_rows x n_cols block.
+def _block(rng, concentration: float, n_rows: int, n_cols: int):
+    """Yield (Gamma rows, row sums) of an n_rows x n_cols block, chunk by chunk.
 
-    Draws SAMPLE_CHUNK rows at a time; consecutive Gamma calls continue the
-    stream exactly as one whole-block call would. The rows are not
-    normalized: a row sum of 0 marks a row whose entries all underflowed.
+    The rows are not normalized: a row sum of 0 marks a row whose entries
+    all underflowed.
     """
     import numpy as np
 
-    for start in range(0, n_rows, SAMPLE_CHUNK):
-        raw = rng.standard_gamma(
-            concentration, size=(min(SAMPLE_CHUNK, n_rows - start), n_cols))
+    for raw in _chunks(lambda m: rng.standard_gamma(concentration, size=(m, n_cols)),
+                       n_rows):
         # Gamma draws near the float maximum overflow their row sum to inf,
         # and the normalized rows would be NaN
         with np.errstate(over="ignore"):
@@ -133,59 +131,43 @@ def _gamma_chunks(rng, concentration: float, n_rows: int, n_cols: int):
             raise ValueError(
                 f"concentration {concentration} is too large: Gamma row sums overflow"
             )
-        yield start, raw, totals
+        yield raw, totals
 
 
-def _redraws(rng, concentration: float, n_rows: int, n_cols: int):
-    """Yield (positions, normalized rows) as n_rows all-zero rows are redrawn.
+def _normalize(rows: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Divide rows by their sums in place; return the mask of all-zero rows.
 
-    Each round redraws together every row still all-zero; positions index
-    the n_rows in their original order. A row is drawn at most
-    DIRICHLET_ROUNDS times, counting the draw that first underflowed.
+    An all-zero row stays 0 until a redrawn row replaces it.
+    """
+    zero = totals[:, 0] == 0.0
+    totals[zero] = 1.0
+    rows /= totals
+    return zero
+
+
+def _late(rng, concentration: float, n: int, n_cols: int) -> np.ndarray:
+    """The n normalized rows redrawn for n all-zero rows, in their order.
+
+    Each round redraws together every row still all-zero. A row is drawn
+    at most DIRICHLET_ROUNDS times, counting the draw that first underflowed.
     """
     import numpy as np
 
-    redraw = np.arange(n_rows)
-    rounds = 1
-    while len(redraw):
-        if rounds == DIRICHLET_ROUNDS:
-            raise ValueError(
-                f"concentration {concentration} is too small: Gamma draws "
-                f"still underflow to all-zero rows after {rounds} rounds"
-            )
-        raw = rng.standard_gamma(concentration, size=(len(redraw), n_cols))
-        totals = raw.sum(axis=1, keepdims=True)
-        kept = np.flatnonzero(totals[:, 0])
-        yield redraw[kept], raw[kept] / totals[kept]
-        redraw = redraw[totals[:, 0] == 0.0]
-        rounds += 1
-
-
-def _dirichlet_chunks(rng, concentration: float, n_rows: int, n_cols: int):
-    """Yield (row indices, normalized rows) of an n_rows x n_cols Dirichlet block.
-
-    Symmetric Dirichlet via the normalized-Gamma construction, in the
-    stream order prevalence_experiment replays: the rows of each chunk of
-    _gamma_chunks, then the rows whose Gamma entries all underflowed to 0
-    (measure zero, but real at tiny concentrations), redrawn together
-    after the last chunk as one whole-block draw followed by its redraws
-    would. Every index is yielded exactly once.
-    """
-    import numpy as np
-
-    deferred = []
-    for start, raw, totals in _gamma_chunks(rng, concentration, n_rows, n_cols):
-        zero = np.flatnonzero(totals[:, 0] == 0.0)
-        if len(zero):
-            deferred.append(zero + start)
-            kept = np.flatnonzero(totals[:, 0])
-            yield kept + start, raw[kept] / totals[kept]
-        else:
-            raw /= totals
-            yield slice(start, start + len(raw)), raw
-    deferred = np.concatenate(deferred) if deferred else np.empty(0, np.intp)
-    for positions, rows in _redraws(rng, concentration, len(deferred), n_cols):
-        yield deferred[positions], rows
+    rows = np.empty((n, n_cols))
+    todo = np.arange(n)
+    for _ in range(DIRICHLET_ROUNDS - 1):  # round 1 was the block's draw
+        if not len(todo):
+            break
+        raw = rng.standard_gamma(concentration, size=(len(todo), n_cols))
+        zero = _normalize(raw, raw.sum(axis=1, keepdims=True))
+        rows[todo] = raw
+        todo = todo[zero]
+    if len(todo):
+        raise ValueError(
+            f"concentration {concentration} is too small: Gamma draws "
+            f"still underflow to all-zero rows after {DIRICHLET_ROUNDS} rounds"
+        )
+    return rows
 
 
 def prevalence_experiment(
@@ -197,14 +179,15 @@ def prevalence_experiment(
     the given concentration and tests <p, q> > <p, p>. Returns the
     fraction of trials where it holds; reproducible per seed.
 
-    The stream holds the whole p block, with its redraws, before any
-    q-draw (the order of _dirichlet_chunks), so p is drawn twice rather
-    than kept. The first pass draws p only to move the generator to where
-    q starts, normalizing nothing and keeping just the p rows redrawn
-    after the last chunk. The second replays p from a fresh generator of
-    the same seed in step with q, comparing each q chunk with its p rows
-    as soon as it is drawn; a q row redrawn after the last chunk holds its
-    p row until the redraw arrives. Memory is O(SAMPLE_CHUNK + redrawn
+    The stream holds the whole p block, with the rows _late redraws for
+    its all-zero rows, before any q-draw, so p is drawn twice rather than
+    kept. The first pass reads the _block chunks of p only to count their
+    all-zero rows and move the generator past them, then keeps _late's
+    rows for p. The second replays the _block chunks of p from a fresh
+    generator of the same seed in step with those of q, normalizing each
+    pair with _normalize and filling p's all-zero rows from its late rows
+    in order; a p row whose q row is all-zero is held and compared with
+    _late's rows for q at the end. Memory is O(SAMPLE_CHUNK + redrawn
     rows) whatever n_trials, and the result is the one that drawing both
     blocks whole gives.
     """
@@ -220,34 +203,26 @@ def prevalence_experiment(
 
     rng = np.random.default_rng(seed)
     # pass 1: move rng past the p block, keeping only p's redrawn rows
-    n_late = sum(int(np.count_nonzero(totals == 0.0)) for _, _, totals in
-                 _gamma_chunks(rng, concentration, n_trials, n_objects))
-    late_p = np.empty((n_late, n_objects))
-    for positions, rows in _redraws(rng, concentration, n_late, n_objects):
-        late_p[positions] = rows
+    n_late = sum(int(np.count_nonzero(totals == 0.0))
+                 for _, totals in _block(rng, concentration, n_trials, n_objects))
+    late_p = _late(rng, concentration, n_late, n_objects)
     # pass 2: replay p in step with q; the chunks meet their redrawn p rows
     # in the order pass 1 counted them
     used = 0
     held_p = []
     count = 0
-    for (_, p, p_totals), (_, q, q_totals) in zip(
-        _gamma_chunks(np.random.default_rng(seed), concentration, n_trials, n_objects),
-        _gamma_chunks(rng, concentration, n_trials, n_objects),
+    for (p, p_totals), (q, q_totals) in zip(
+        _block(np.random.default_rng(seed), concentration, n_trials, n_objects),
+        _block(rng, concentration, n_trials, n_objects),
     ):
-        p_zero = p_totals[:, 0] == 0.0
+        p_zero = _normalize(p, p_totals)
         n_zero = int(np.count_nonzero(p_zero))
-        p_totals[p_zero] = 1.0  # an all-zero row stays 0 until replaced
-        p /= p_totals
         p[p_zero] = late_p[used:used + n_zero]
         used += n_zero
-        q_zero = q_totals[:, 0] == 0.0
-        if q_zero.any():
-            held_p.append(p[q_zero])
-            p, q, q_totals = p[~q_zero], q[~q_zero], q_totals[~q_zero]
-        q /= q_totals
+        q_zero = _normalize(q, q_totals)
+        held_p.append(p[q_zero])
+        # an all-zero q row is never counted: <p, 0> = 0 < <p, p>
         count += _count_within_exceeds(p, q)
-    if held_p:
-        held_p = np.concatenate(held_p)
-        for positions, rows in _redraws(rng, concentration, len(held_p), n_objects):
-            count += _count_within_exceeds(held_p[positions], rows)
-    return count / n_trials
+    held_p = np.concatenate(held_p)
+    late_q = _late(rng, concentration, len(held_p), n_objects)
+    return (count + _count_within_exceeds(held_p, late_q)) / n_trials

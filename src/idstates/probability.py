@@ -74,6 +74,16 @@ BRUTE_FORCE_GUARD = 10**8
 SAMPLE_CHUNK = 16384
 
 
+def _chunks(draw, n_rows: int):
+    """Yield draw(m) for consecutive pieces of n_rows, at most SAMPLE_CHUNK each.
+
+    Consecutive numpy draws continue one stream exactly as one call would,
+    so the pieces in order are the draw of the whole block.
+    """
+    for start in range(0, n_rows, SAMPLE_CHUNK):
+        yield draw(min(SAMPLE_CHUNK, n_rows - start))
+
+
 def _is_exact(values) -> bool:
     return all(isinstance(v, _EXACT_TYPES) for v in values)
 
@@ -394,13 +404,12 @@ def monte_carlo_state_distribution(
     sorted by flattened matrix. Reproducible for a fixed (seed, numpy
     version).
 
-    The stream holds every p-draw before every q-draw, and consecutive
-    multinomial calls continue it exactly as one call would. So the p
-    block is drawn SAMPLE_CHUNK rows at a time and kept only as its cells
-    a * (K+1), one byte per object up to K = 14; then q is drawn a chunk
-    at a time and each chunk is classified at once. Memory is n_samples *
-    n_objects cells plus O(SAMPLE_CHUNK), and the result is the one that
-    drawing both blocks whole gives.
+    The stream holds every p-draw before every q-draw. So the p block is
+    drawn through _chunks and kept only as its chunks of cells a * (K+1),
+    one byte per object up to K = 14; then the q chunks are drawn through
+    _chunks in step with them and each is classified at once. Memory is
+    n_samples * n_objects cells plus O(SAMPLE_CHUNK), and the result is
+    the one that drawing both blocks whole gives.
     """
     import numpy as np
 
@@ -412,21 +421,19 @@ def monte_carlo_state_distribution(
     rng = np.random.default_rng(seed)
     pf = np.asarray([float(v) for v in p])
     qf = np.asarray([float(v) for v in q])
+    pf, qf = pf / pf.sum(), qf / qf.sum()
     side = draw_size + 1
     area = side * side
-    chunks = [(start, min(start + SAMPLE_CHUNK, n_samples))
-              for start in range(0, n_samples, SAMPLE_CHUNK)]
+    cell = np.min_scalar_type(area - 1)
+    p_draws = _chunks(lambda m: rng.multinomial(draw_size, pf, size=m), n_samples)
     # the p-draws' counts a as cells a * side
-    p_cells = np.empty((n_samples, n_objects), dtype=np.min_scalar_type(area - 1))
-    for start, stop in chunks:
-        p_cells[start:stop] = rng.multinomial(draw_size, pf / pf.sum(),
-                                              size=stop - start) * side
+    p_cells = [(drawn * side).astype(cell) for drawn in p_draws]
+    q_draws = _chunks(lambda m: rng.multinomial(draw_size, qf, size=m), n_samples)
     # flattened matrix -> samples
     totals: dict[tuple[int, ...], int] = {}
-    for start, stop in chunks:
+    for p_chunk, cells in zip(p_cells, q_draws):
         # cells a * side + b
-        cells = rng.multinomial(draw_size, qf / qf.sum(), size=stop - start)
-        cells += p_cells[start:stop]
+        cells += p_chunk
         cells.sort(axis=1)
         first, index = _distinct_rows(cells, area)
         counts = np.bincount(index)

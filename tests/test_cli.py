@@ -578,6 +578,17 @@ def test_usage_errors_exit_one_line(capsys, argv):
     assert_one_error_line(*run_cli(capsys, *argv))
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--k", "2", "--i", "3", "--samples", "10", "--seed", "-1"],
+    ["prevalence", "--i", "3", "--samples", "10", "--seed", "-1"],
+    ["oracle-check", "--k", "2", "--i", "3", "--seed", "-3"],
+])
+def test_negative_seed_names_the_flag(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert err == "error: --seed must be a non-negative integer\n"
+
+
 def test_mode_without_frequencies_sets_the_simulate_default(capsys):
     for mode in ("rational", "float"):
         code, out, err = run_cli(capsys, "simulate", "--k", "1", "--i", "2",

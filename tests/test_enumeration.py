@@ -84,6 +84,59 @@ def test_catalog_counts_beyond_paper_grid():
         enumeration._canonical_flat_keys.cache_clear()
 
 
+def burnside_state_counts(k):
+    """State counts at draw size k for I = 1 .. 2k + 1, enumerating nothing.
+
+    A state is a matrix M with both weighted sums k, taken together with
+    its transpose; its columns (a, b) != (0, 0) are its distinct objects,
+    at most I. Burnside's lemma over {identity, transpose} counts the
+    states as (N + S) / 2, where N counts the matrices and S the symmetric
+    ones: the coefficients of x^k y^k t^n, n <= I, in
+    prod 1 / (1 - x^a y^b t) and in
+    prod_a 1 / (1 - (xy)^a t) * prod_{a<b} 1 / (1 - (xy)^(a+b) t^2).
+    """
+    n_max = 2 * k
+    # full[x][y][n]: matrices with weighted sums x and y and n objects
+    full = [[[0] * (n_max + 1) for _ in range(k + 1)] for _ in range(k + 1)]
+    full[0][0][0] = 1
+    for a in range(k + 1):
+        for b in range(k + 1):
+            if a or b:  # times 1 / (1 - x^a y^b t): one more column (a, b)
+                for n in range(1, n_max + 1):
+                    for x in range(a, k + 1):
+                        for y in range(b, k + 1):
+                            full[x][y][n] += full[x - a][y - b][n - 1]
+    # sym[x][n]: symmetric matrices with both weighted sums x and n objects;
+    # a column (a, a) is one object, a pair (a, b), (b, a) is two
+    sym = [[0] * (n_max + 1) for _ in range(k + 1)]
+    sym[0][0] = 1
+    factors = [(a, 1) for a in range(1, k + 1)]
+    factors += [(a + b, 2) for b in range(1, k + 1) for a in range(b) if a + b <= k]
+    for weight, objects in factors:
+        for n in range(objects, n_max + 1):
+            for x in range(weight, k + 1):
+                sym[x][n] += sym[x - weight][n - objects]
+    counts = []
+    for i in range(1, n_max + 2):
+        orbits, rest = divmod(sum(full[k][k][: i + 1]) + sum(sym[k][: i + 1]), 2)
+        assert not rest
+        counts.append(orbits)
+    return counts
+
+
+def test_catalog_counts_match_burnside():
+    # 30,205 states at K=10, I=20
+    _canonical_flat_keys.cache_clear()
+    try:
+        for k in range(1, 11):
+            want = burnside_state_counts(k)
+            got = [state_count(k, i) for i in range(1, 2 * k + 2)]
+            assert got == want, k
+        assert want[19] == 30205
+    finally:
+        _canonical_flat_keys.cache_clear()
+
+
 def test_catalog_rejects_bad_sizes():
     with pytest.raises(ValueError):
         enumerate_states(0, 2)

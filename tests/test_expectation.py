@@ -1,5 +1,6 @@
 """Expected dissimilarity: closed form, state-sum route, comparisons."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -15,8 +16,8 @@ from idstates import (
     inner_product,
     prevalence_experiment,
 )
-from idstates import expectation
-from idstates.expectation import _count_within_exceeds, _dirichlet_chunks
+from idstates import probability
+from idstates.expectation import _block, _count_within_exceeds, _late, _normalize
 
 from conftest import random_rational_vector
 
@@ -179,23 +180,69 @@ def test_prevalence_same_at_every_chunk_size(monkeypatch, offset):
         want_rows = dirichlet_rows_reference(
             np.random.default_rng(seed), concentration, n_trials, i)
         for chunk in ((1, 7) if offset is None else (n_trials + offset,)):
-            monkeypatch.setattr(expectation, "SAMPLE_CHUNK", chunk)
+            monkeypatch.setattr(probability, "SAMPLE_CHUNK", chunk)
             got = prevalence_experiment(i, n_trials, seed, concentration)
             assert got == want, (i, concentration, chunk)
-            # each row is yielded once, bit-identical to the whole block's
-            rows = np.full((n_trials, i), np.nan)
+            # the chunks, their all-zero rows filled by the rows redrawn
+            # after the last chunk, are bit-identical to the whole block
             rng = np.random.default_rng(seed)
-            for index, part in _dirichlet_chunks(rng, concentration, n_trials, i):
-                assert np.isnan(rows[index]).all()
-                rows[index] = part
+            rows, zero = [], []
+            for raw, totals in _block(rng, concentration, n_trials, i):
+                zero.append(_normalize(raw, totals))
+                rows.append(raw)
+            rows, zero = np.concatenate(rows), np.concatenate(zero)
+            rows[zero] = _late(rng, concentration, int(zero.sum()), i)
             assert np.array_equal(rows, want_rows), (i, concentration, chunk)
 
 
 def test_prevalence_concentration_too_small(monkeypatch):
     # every Gamma draw underflows: the redraw rounds run out
-    monkeypatch.setattr(expectation, "SAMPLE_CHUNK", 7)
+    monkeypatch.setattr(probability, "SAMPLE_CHUNK", 7)
     with pytest.raises(ValueError, match="too small"):
         prevalence_experiment(2, 20, seed=0, concentration=1e-300)
+
+
+@pytest.mark.parametrize("zero_calls, fails", [(99, False), (100, True)])
+def test_prevalence_redraw_cap(monkeypatch, zero_calls, fails):
+    # each generator's first zero_calls Gamma draws underflow to all-zero
+    # rows; one trial's p row is drawn at most DIRICHLET_ROUNDS = 100 times,
+    # counting its first draw, so 99 all-zero draws still leave room
+    class Underflowing:
+        def __init__(self, seed):
+            self.calls = 0
+
+        def standard_gamma(self, shape, size):
+            self.calls += 1
+            return np.zeros(size) if self.calls <= zero_calls else np.ones(size)
+
+    monkeypatch.setattr(np.random, "default_rng", Underflowing)
+    if fails:
+        with pytest.raises(ValueError, match="too small"):
+            prevalence_experiment(2, 1, 0)
+    else:
+        # p = q = (1/2, 1/2): <p, q> > <p, p> fails on the tie
+        assert prevalence_experiment(2, 1, 0) == 0.0
+
+
+# Known bias at small concentrations: normalized rows round onto a vertex
+# of the simplex, and the strict float comparison counts the tie as false.
+FLOAT_TIES = pytest.mark.xfail(
+    strict=True, reason="float ties at simplex vertices bias prevalence low")
+
+
+@pytest.mark.parametrize("concentration", [
+    pytest.param(0.01, marks=FLOAT_TIES),
+    pytest.param(0.03, marks=FLOAT_TIES),
+    0.3, 1.0, 100.0,
+])
+def test_prevalence_two_objects_is_one_quarter(concentration):
+    # p = (x, 1 - x), q = (y, 1 - y): <p, q> - <p, p> = (2x - 1)(y - x), and
+    # x, y are iid and symmetric about 1/2, so the prevalence is
+    # 2 P(y > x > 1/2) = 1/4 at every concentration
+    n_trials = 2 * 10**5
+    got = prevalence_experiment(2, n_trials, 1, concentration)
+    z = (got - 0.25) / math.sqrt(0.25 * 0.75 / n_trials)
+    assert abs(z) < 5, (got, z)
 
 
 def test_prevalence_memory_does_not_grow_with_trials():
