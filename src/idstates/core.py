@@ -19,25 +19,81 @@ output time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Sequence
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class DrawVector:
+
+class Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in __slots__ and sets them in __init__
+    through _fill, after its checks. Instances compare equal when they are
+    of the same class and their fields are equal, hash as their fields,
+    print as Name(field=value, ...), and refuse assignment and deletion
+    with AttributeError. _trusted builds an instance from field values
+    without running __init__, for values the caller built correct.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # read in C: the tuple of the fields, or a lone field's bare value
+        cls._fields = property(attrgetter(*cls.__slots__))
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    @classmethod
+    def _trusted(cls, *values):
+        self = object.__new__(cls)
+        self._fill(*values)
+        return self
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields == other._fields
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields)
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    # pickle and copy restore the fields without calling __setattr__
+    def __getstate__(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state):
+        self._fill(*state)
+
+
+class DrawVector(Value):
     """One unordered draw: counts per object, summing to the draw size."""
 
-    counts: tuple[int, ...]
+    __slots__ = ("counts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if len(self.counts) < 1:
+    def __init__(self, counts):
+        counts = tuple(int(c) for c in counts)
+        if len(counts) < 1:
             raise ValueError("a draw needs at least one object slot")
-        if any(c < 0 for c in self.counts):
-            raise ValueError(f"negative count in draw {self.counts}")
-        if sum(self.counts) < 1:
+        if any(c < 0 for c in counts):
+            raise ValueError(f"negative count in draw {counts}")
+        if sum(counts) < 1:
             raise ValueError("draw size must be at least 1")
+        self._fill(counts)
 
     @property
     def draw_size(self) -> int:
@@ -56,27 +112,26 @@ class DrawVector:
         return len(self.counts)
 
 
-@dataclass(frozen=True)
-class PairMatrix:
+class PairMatrix(Value):
     """Ordered pair of draws, viewed as a 2 x I nonnegative-integer matrix.
 
     Both rows must have the same length and the same row sum.
     """
 
-    row1: DrawVector
-    row2: DrawVector
+    __slots__ = ("row1", "row2")
 
-    def __post_init__(self):
-        if self.row1.n_objects != self.row2.n_objects:
+    def __init__(self, row1: DrawVector, row2: DrawVector):
+        if row1.n_objects != row2.n_objects:
             raise ValueError(
                 f"rows cover different object counts: "
-                f"{self.row1.n_objects} vs {self.row2.n_objects}"
+                f"{row1.n_objects} vs {row2.n_objects}"
             )
-        if self.row1.draw_size != self.row2.draw_size:
+        if row1.draw_size != row2.draw_size:
             raise ValueError(
                 f"rows have different draw sizes: "
-                f"{self.row1.draw_size} vs {self.row2.draw_size}"
+                f"{row1.draw_size} vs {row2.draw_size}"
             )
+        self._fill(row1, row2)
 
     @property
     def draw_size(self) -> int:
@@ -92,23 +147,20 @@ class PairMatrix:
         return tuple(zip(self.row1.counts, self.row2.counts))
 
 
-@dataclass(frozen=True)
-class DissimilarityValue:
+class DissimilarityValue(Value):
     """Exact dissimilarity: an integer numerator over K^2.
 
     Kept unreduced so the denominator always identifies the draw size.
     """
 
-    numerator: int
-    denominator: int
+    __slots__ = ("numerator", "denominator")
 
-    def __post_init__(self):
-        if self.denominator < 1:
+    def __init__(self, numerator: int, denominator: int):
+        if denominator < 1:
             raise ValueError("denominator must be positive")
-        if not 0 <= self.numerator <= self.denominator:
-            raise ValueError(
-                f"dissimilarity {self.numerator}/{self.denominator} out of [0, 1]"
-            )
+        if not 0 <= numerator <= denominator:
+            raise ValueError(f"dissimilarity {numerator}/{denominator} out of [0, 1]")
+        self._fill(numerator, denominator)
 
     @property
     def value(self) -> Fraction:

@@ -31,16 +31,15 @@ computed state distributions (probability.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 from math import factorial, isqrt
 from operator import mul
 
-from .core import DissimilarityValue, DrawVector, PairMatrix
+from .core import DissimilarityValue, DrawVector, PairMatrix, Value
 
 
-@dataclass(frozen=True)
-class StateMatrix:
+class StateMatrix(Value):
     """(K+1) x (K+1) column-type count matrix for a pair of size-K draws.
 
     Held as its row-major flattening: entry (i, j) (0-based) is
@@ -50,11 +49,10 @@ class StateMatrix:
     I. entries gives the rows.
     """
 
-    flattened: tuple[int, ...]
+    __slots__ = ("flattened",)
 
-    def __post_init__(self):
-        flat = tuple(map(int, self.flattened))
-        object.__setattr__(self, "flattened", flat)
+    def __init__(self, flattened: tuple[int, ...]):
+        flat = tuple(map(int, flattened))
         side = isqrt(len(flat))
         if side < 2 or side * side != len(flat):
             raise ValueError("state matrix must be square with side >= 2")
@@ -68,6 +66,7 @@ class StateMatrix:
             raise ValueError(
                 f"weighted sums ({top}, {bottom}) do not match draw size {k}"
             )
+        self._fill(flat)
 
     @property
     def draw_size(self) -> int:
@@ -87,12 +86,11 @@ class StateMatrix:
         return StateMatrix(_transpose_flat(self.flattened, self.draw_size + 1))
 
 
-@dataclass(frozen=True)
-class IdentityState:
+class IdentityState(Value):
     """One identity state, built from its canonical matrix alone.
 
     The canonical (transpose-minimal) matrix is the only constructor
-    argument; every other field is derived from it once, here.
+    argument; every other field is derived from it once, by _derive.
 
     The representative pair has its columns sorted in decreasing
     lexicographic order by (top, bottom), which puts nonzero columns
@@ -110,50 +108,84 @@ class IdentityState:
     same pairs (e.g. rows (2,1,0) and (1,0,2)).
     """
 
-    canonical_matrix: StateMatrix
-    representative: PairMatrix = field(init=False)
-    dissimilarity: DissimilarityValue = field(init=False)
-    n_distinct: int = field(init=False)
-    is_symmetric: bool = field(init=False)
-    stabilizer_size: int = field(init=False)
-    row_equiv: bool = field(init=False)
-    row_equal: bool = field(init=False)
+    __slots__ = (
+        "canonical_matrix",
+        "representative",
+        "dissimilarity",
+        "n_distinct",
+        "is_symmetric",
+        "stabilizer_size",
+        "row_equiv",
+        "row_equal",
+    )
 
-    def __post_init__(self):
-        flat = self.canonical_matrix.flattened
-        side = self.canonical_matrix.draw_size + 1
+    def __init__(self, canonical_matrix: StateMatrix):
+        flat = canonical_matrix.flattened
+        side = canonical_matrix.draw_size + 1
         transposed = _transpose_flat(flat, side)
         if transposed < flat:
             raise ValueError("matrix is not in canonical (transpose-minimal) form")
-        k = side - 1
-        tops: list[int] = []
-        bottoms: list[int] = []
-        overlap = 0
-        stab = 1
-        # cells in decreasing (top, bottom) order; (0, 0) pads at the end
-        for pos in range(side * side - 1, 0, -1):
-            count = flat[pos]
-            if count:
-                top, bottom = divmod(pos, side)
-                tops += [top] * count
-                bottoms += [bottom] * count
-                overlap += top * bottom * count
-                stab *= factorial(count)
-        nonzero_cols = len(tops)
-        tops += [0] * flat[0]
-        bottoms += [0] * flat[0]
-        derived = {
-            "representative": PairMatrix(DrawVector(tops), DrawVector(bottoms)),
-            "dissimilarity": DissimilarityValue(k * k - overlap, k * k),
-            "n_distinct": nonzero_cols,
-            "is_symmetric": flat == transposed,
-            "stabilizer_size": stab,
-            "row_equiv": _row_sums(flat, side) == _row_sums(transposed, side),
-            # every column on the diagonal: top == bottom
-            "row_equal": sum(flat[:: side + 1]) == len(tops),
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        tops, bottoms, numerator, *flags = _derive(flat, side, transposed)
+        self._fill(
+            canonical_matrix,
+            PairMatrix(DrawVector(tops), DrawVector(bottoms)),
+            DissimilarityValue(numerator, (side - 1) ** 2),
+            *flags,
+        )
+
+
+def _derive(flat: tuple[int, ...], side: int, transposed: tuple[int, ...]):
+    """What an IdentityState derives from its canonical flattening.
+
+    Returns the representative's rows, the dissimilarity's numerator over
+    K^2, then n_distinct, is_symmetric, stabilizer_size, row_equiv and
+    row_equal: the fields after dissimilarity, in order.
+    """
+    tops: list[int] = []
+    bottoms: list[int] = []
+    overlap = 0
+    stab = 1
+    # nonzero cells in decreasing (top, bottom) order; (0, 0) pads at the end
+    for pos in compress(range(len(flat) - 1, 0, -1), flat[:0:-1]):
+        count = flat[pos]
+        top, bottom = divmod(pos, side)
+        tops += [top] * count
+        bottoms += [bottom] * count
+        overlap += top * bottom * count
+        stab *= factorial(count)
+    nonzero_cols = len(tops)
+    tops += [0] * flat[0]
+    bottoms += [0] * flat[0]
+    k = side - 1
+    return (
+        tuple(tops),
+        tuple(bottoms),
+        k * k - overlap,
+        nonzero_cols,
+        flat == transposed,
+        stab,
+        # each count is as frequent in one row as in the other: M and M^T
+        # have the same row sums
+        sorted(tops) == sorted(bottoms),
+        # every column on the diagonal
+        tops == bottoms,
+    )
+
+
+def _trusted_state(flat: tuple[int, ...], side: int) -> IdentityState:
+    """IdentityState of a flattening canonical by construction.
+
+    The same fields as IdentityState(StateMatrix(flat)), with none of
+    the constructors' checks: only enumerate_states calls it, on keys the
+    cell recursion produced valid and canonical.
+    """
+    tops, bottoms, numerator, *flags = _derive(flat, side, _transpose_flat(flat, side))
+    return IdentityState._trusted(
+        StateMatrix._trusted(flat),
+        PairMatrix._trusted(DrawVector._trusted(tops), DrawVector._trusted(bottoms)),
+        DissimilarityValue._trusted(numerator, (side - 1) ** 2),
+        *flags,
+    )
 
 
 def state_matrix(pair: PairMatrix) -> StateMatrix:
@@ -269,10 +301,11 @@ def enumerate_states(draw_size: int, n_objects: int) -> list[IdentityState]:
     """
     _check_sizes(draw_size, n_objects)
     span = 2 * draw_size
+    side = draw_size + 1
     # M_00 = I - (nonzero columns) moves entry 0 of every sorted key by the
     # same constant, so the keys' order is the catalog order
     return [
-        IdentityState(StateMatrix((n_objects - span + flat[0],) + flat[1:]))
+        _trusted_state((n_objects - span + flat[0],) + flat[1:], side)
         for flat in _canonical_flat_keys(draw_size)
         if span - flat[0] <= n_objects
     ]

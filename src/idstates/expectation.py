@@ -20,10 +20,9 @@ sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import inner_product
+from .core import Value, inner_product
 from .enumeration import enumerate_states
 # state_probability is unused here but stays importable: bench/trace_child.py wraps it
 from .probability import (  # noqa: F401
@@ -37,26 +36,20 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class ExpectationReport:
+class ExpectationReport(Value):
     """Within- and between-distribution expected dissimilarities."""
 
-    e_pq: object
-    e_pp: object
-    e_qq: object
-    avg_within: object
-    within_exceeds_between: bool
+    __slots__ = ("e_pq", "e_pp", "e_qq", "avg_within", "within_exceeds_between")
 
     _SLACK = 1e-12
 
-    def __post_init__(self):
-        for v in (self.e_pq, self.e_pp, self.e_qq, self.avg_within):
+    def __init__(self, e_pq, e_pp, e_qq, avg_within, within_exceeds_between: bool):
+        for v in (e_pq, e_pp, e_qq, avg_within):
             if not -self._SLACK <= v <= 1 + self._SLACK:
                 raise ValueError(f"expectation {v} out of [0, 1]")
-        if self.avg_within > self.e_pq + self._SLACK:
-            raise ValueError(
-                f"average within ({self.avg_within}) exceeds between ({self.e_pq})"
-            )
+        if avg_within > e_pq + self._SLACK:
+            raise ValueError(f"average within ({avg_within}) exceeds between ({e_pq})")
+        self._fill(e_pq, e_pp, e_qq, avg_within, within_exceeds_between)
 
 
 def expected_dissimilarity(p, q):

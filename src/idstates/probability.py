@@ -49,10 +49,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from .core import Value
 from .enumeration import (
     IdentityState,
     StateMatrix,
@@ -88,24 +88,22 @@ def _is_exact(values) -> bool:
     return all(isinstance(v, _EXACT_TYPES) for v in values)
 
 
-@dataclass(frozen=True)
-class FrequencyVector:
+class FrequencyVector(Value):
     """Probability vector over I objects; exact (Fraction) or float entries.
 
     Exact vectors must sum to exactly 1. Float vectors may deviate from 1
     by at most 1e-9 and are renormalized on construction.
     """
 
-    entries: tuple
-    exact: bool
+    __slots__ = ("entries", "exact")
 
     SUM_TOLERANCE = 1e-9
 
-    def __post_init__(self):
-        values = tuple(self.entries)
+    def __init__(self, entries, exact: bool):
+        values = tuple(entries)
         if not values:
             raise ValueError("frequency vector must not be empty")
-        if self.exact:
+        if exact:
             if not _is_exact(values):
                 raise ValueError(
                     "exact mode needs int/Fraction entries; "
@@ -128,7 +126,7 @@ class FrequencyVector:
                 values = tuple(v / total for v in values)
         if any(v < 0 for v in values):
             raise ValueError("frequencies must be nonnegative")
-        object.__setattr__(self, "entries", values)
+        self._fill(values, exact)
 
     @classmethod
     def uniform(cls, n_objects: int, exact: bool = True) -> "FrequencyVector":
@@ -148,17 +146,16 @@ class FrequencyVector:
         return iter(self.entries)
 
 
-@dataclass(frozen=True)
-class StateProbability:
+class StateProbability(Value):
     """Probability assigned to one identity state."""
 
-    state: IdentityState
-    value: object
+    __slots__ = ("state", "value")
 
-    def __post_init__(self):
-        slack = 0 if isinstance(self.value, _EXACT_TYPES) else 1e-12
-        if not -slack <= self.value <= 1 + slack:
-            raise ValueError(f"probability {self.value} out of [0, 1]")
+    def __init__(self, state: IdentityState, value):
+        slack = 0 if isinstance(value, _EXACT_TYPES) else 1e-12
+        if not -slack <= value <= 1 + slack:
+            raise ValueError(f"probability {value} out of [0, 1]")
+        self._fill(state, value)
 
 
 def multinomial(total: int, parts) -> int:

@@ -31,11 +31,10 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .core import DissimilarityValue
+from .core import DissimilarityValue, Value
 from .enumeration import IdentityState, StateMatrix
 from .probability import FrequencyVector
 
@@ -99,15 +98,28 @@ def parse_number(token: str, exact: bool):
         raise ValueError(f"too large for a float: {token!r}")
 
 
-@dataclass
-class StateTable:
-    """A state catalog plus optional per-state probabilities."""
+class StateTable(Value):
+    """A state catalog plus optional per-state probabilities.
 
-    draw_size: int
-    n_objects: int
-    states: list[IdentityState]
-    probabilities: list | None = None
-    exact: bool = True
+    Unlike the other value classes its fields can be reassigned, so it
+    has no hash.
+    """
+
+    __slots__ = ("draw_size", "n_objects", "states", "probabilities", "exact")
+
+    def __init__(
+        self,
+        draw_size: int,
+        n_objects: int,
+        states: list[IdentityState],
+        probabilities: list | None = None,
+        exact: bool = True,
+    ):
+        self._fill(draw_size, n_objects, states, probabilities, exact)
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
 
 # The two cell conventions (module docstring), as (true text, false text).

@@ -446,9 +446,9 @@ from idstates import cli
 def loaded_after(argv):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    print(argv[0], code, "numpy" in sys.modules)
+    print(argv[0], code, "numpy" in sys.modules, "dataclasses" in sys.modules)
 
-print("import", 0, "numpy" in sys.modules)
+print("import", 0, "numpy" in sys.modules, "dataclasses" in sys.modules)
 for argv in [
     ["count-table", "--k", "3"],
     ["enumerate", "--k", "2", "--i", "4"],
@@ -465,6 +465,7 @@ for argv in [
 
 
 def test_only_sampling_loads_numpy():
+    # and no command loads dataclasses, whose import costs every request
     # a fresh interpreter: this one already has numpy loaded
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -474,9 +475,10 @@ def test_only_sampling_loads_numpy():
     assert proc.returncode == 0, proc.stderr
     lines = [line.split() for line in proc.stdout.splitlines()]
     assert len(lines) == 10
-    for command, code, loaded in lines:
+    for command, code, numpy_loaded, dataclasses_loaded in lines:
         assert code == "0", command
-        assert loaded == str(command == "simulate"), command
+        assert numpy_loaded == str(command == "simulate"), command
+        assert dataclasses_loaded == "False", command
 
 
 # One request per command, with inputs at the edges of the float range; a

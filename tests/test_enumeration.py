@@ -84,14 +84,16 @@ def test_catalog_counts_beyond_paper_grid():
         enumeration._canonical_flat_keys.cache_clear()
 
 
-def burnside_state_counts(k):
-    """State counts at draw size k for I = 1 .. 2k + 1, enumerating nothing.
+def burnside_object_counts(k):
+    """States at draw size k with exactly n distinct objects, n = 0 .. 2k,
+    enumerating nothing.
 
     A state is a matrix M with both weighted sums k, taken together with
-    its transpose; its columns (a, b) != (0, 0) are its distinct objects,
-    at most I. Burnside's lemma over {identity, transpose} counts the
-    states as (N + S) / 2, where N counts the matrices and S the symmetric
-    ones: the coefficients of x^k y^k t^n, n <= I, in
+    its transpose; its columns (a, b) != (0, 0) are its distinct objects.
+    Transposing keeps that number n, so Burnside's lemma over
+    {identity, transpose} counts the states with n objects as
+    (N_n + S_n) / 2, where N_n counts the matrices with n objects and S_n
+    the symmetric ones: the coefficients of x^k y^k t^n in
     prod 1 / (1 - x^a y^b t) and in
     prod_a 1 / (1 - (xy)^a t) * prod_{a<b} 1 / (1 - (xy)^(a+b) t^2).
     """
@@ -117,11 +119,18 @@ def burnside_state_counts(k):
             for x in range(weight, k + 1):
                 sym[x][n] += sym[x - weight][n - objects]
     counts = []
-    for i in range(1, n_max + 2):
-        orbits, rest = divmod(sum(full[k][k][: i + 1]) + sum(sym[k][: i + 1]), 2)
+    for n in range(n_max + 1):
+        orbits, rest = divmod(full[k][k][n] + sym[k][n], 2)
         assert not rest
         counts.append(orbits)
     return counts
+
+
+def burnside_state_counts(k):
+    """State counts at draw size k for I = 1 .. 2k + 1: the states with at
+    most I distinct objects."""
+    by_objects = burnside_object_counts(k)
+    return [sum(by_objects[: i + 1]) for i in range(1, 2 * k + 2)]
 
 
 def test_catalog_counts_match_burnside():
@@ -135,6 +144,15 @@ def test_catalog_counts_match_burnside():
         assert want[19] == 30205
     finally:
         _canonical_flat_keys.cache_clear()
+
+
+def test_catalog_distinct_objects_match_burnside():
+    # the N column of the full catalog, I = 2K, per number of objects
+    for k in range(1, 9):
+        got = [0] * (2 * k + 1)
+        for s in enumerate_states(k, 2 * k):
+            got[s.n_distinct] += 1
+        assert got == burnside_object_counts(k), k
 
 
 def test_catalog_rejects_bad_sizes():
@@ -262,6 +280,37 @@ def test_state_from_matrix_round_trip():
     for k, i in [(2, 4), (3, 6), (1, 2)]:
         for s in enumerate_states(k, i):
             assert IdentityState(s.canonical_matrix) == s
+
+
+def _plain_fields(s):
+    """The eight fields of a record as plain values, the representative as
+    its two rows and the dissimilarity as numerator and denominator."""
+    return (
+        s.canonical_matrix.flattened,
+        s.representative.row1.counts,
+        s.representative.row2.counts,
+        (s.dissimilarity.numerator, s.dissimilarity.denominator),
+        s.n_distinct,
+        s.is_symmetric,
+        s.stabilizer_size,
+        s.row_equiv,
+        s.row_equal,
+    )
+
+
+def test_catalog_records_match_the_validating_constructor():
+    # enumerate_states builds its records without re-checking its keys;
+    # each must be what the validating constructors build from its matrix
+    for k in range(1, 8):
+        for i in range(1, 2 * k + 2):
+            for s in enumerate_states(k, i):
+                got = _plain_fields(s)
+                want = _plain_fields(IdentityState(StateMatrix(s.canonical_matrix.flattened)))
+                assert got == want
+                assert list(map(type, got)) == list(map(type, want))
+                assert type(s) is IdentityState
+                assert type(s.representative) is PairMatrix
+                assert type(s.representative.row1) is type(s.representative.row2) is DrawVector
 
 
 def test_state_from_matrix_rejects_noncanonical():
