@@ -164,7 +164,7 @@ def _state_table(args: argparse.Namespace, freqs) -> StateTable:
     if freqs is None:
         return StateTable(args.k, args.i, states)
     p, q = freqs
-    exact = p.exact and q.exact
+    exact = p.exact
     dist = state_distribution(args.k, p, q)
     zero = Fraction(0) if exact else 0.0
     probs = [dist.get(s.canonical_matrix, zero) for s in states]
@@ -190,7 +190,7 @@ def cmd_count_table(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_expectation(args: argparse.Namespace) -> tuple[str, int]:
     p, q = _frequencies(args)
-    exact = p.exact and q.exact
+    exact = p.exact
     if not exact and (args.k is not None or args.force):
         raise ValueError("--k and --force set the state-sum check, "
                          "which runs in rational mode only")
@@ -225,7 +225,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> tuple[str, int]:
                          "it has no use with --freq or --p")
     else:
         p, q = freqs
-    exact = p.exact and q.exact
+    exact = p.exact
     # run the oracle first so its size guard fires before the closed-form
     # evaluation (whose injective sums grow with the same inputs)
     oracle = brute_force_state_distribution(args.k, args.i, p, q, force=args.force)

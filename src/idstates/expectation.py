@@ -26,8 +26,8 @@ from .core import Value, inner_product
 from .enumeration import enumerate_states
 # state_probability is unused here but stays importable: bench/trace_child.py wraps it
 from .probability import (  # noqa: F401
-    _check_freqs,
     _chunks,
+    _frequency_pair,
     state_distribution,
     state_probability,
 )
@@ -54,7 +54,7 @@ class ExpectationReport(Value):
 
 def expected_dissimilarity(p, q):
     """Closed-form expected dissimilarity: 1 - <p, q> (draw-size independent)."""
-    _check_freqs(p, q)
+    p, q = _frequency_pair(p, q)
     return 1 - inner_product(p, q)
 
 

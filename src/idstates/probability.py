@@ -91,6 +91,8 @@ def _is_exact(values) -> bool:
 class FrequencyVector(Value):
     """Probability vector over I objects; exact (Fraction) or float entries.
 
+    The one check on frequency values: every function that takes p and q
+    passes them through here. Entries must be finite and nonnegative.
     Exact vectors must sum to exactly 1. Float vectors may deviate from 1
     by at most 1e-9 and are renormalized on construction.
     """
@@ -102,14 +104,17 @@ class FrequencyVector(Value):
     def __init__(self, entries, exact: bool):
         values = tuple(entries)
         if not values:
-            raise ValueError("frequency vector must not be empty")
+            raise ValueError("frequency vectors must not be empty")
+        if exact and not _is_exact(values):
+            raise ValueError(
+                "exact mode needs int/Fraction entries; "
+                "parse strings with Fraction() first"
+            )
+        values = tuple(map(Fraction if exact else float, values))
+        for v in values:
+            if not 0 <= v < math.inf:  # NaN fails both comparisons
+                raise ValueError(f"frequencies must be finite and nonnegative, got {v}")
         if exact:
-            if not _is_exact(values):
-                raise ValueError(
-                    "exact mode needs int/Fraction entries; "
-                    "parse strings with Fraction() first"
-                )
-            values = tuple(Fraction(v) for v in values)
             total = sum(values)
             if total != 1:
                 # a long fraction can pass Python's limit on int-to-str digits
@@ -118,14 +123,14 @@ class FrequencyVector(Value):
                 shown = total if short else f"{'more' if total > 1 else 'less'} than 1"
                 raise ValueError(f"frequencies sum to {shown}, expected exactly 1")
         else:
-            values = tuple(float(v) for v in values)
-            total = math.fsum(values)
-            if not abs(total - 1.0) <= self.SUM_TOLERANCE:  # NaN fails too
+            try:
+                total = math.fsum(values)
+            except OverflowError:  # finite entries can sum past the float maximum
+                total = math.inf
+            if not abs(total - 1.0) <= self.SUM_TOLERANCE:
                 raise ValueError(f"frequencies sum to {total:.12g}, expected 1")
             if total != 1.0:
                 values = tuple(v / total for v in values)
-        if any(v < 0 for v in values):
-            raise ValueError("frequencies must be nonnegative")
         self._fill(values, exact)
 
     @classmethod
@@ -171,15 +176,14 @@ def multinomial(total: int, parts) -> int:
     return out
 
 
-def _check_freqs(p, q):
+def _frequency_pair(p, q) -> tuple[FrequencyVector, FrequencyVector]:
+    """p and q as FrequencyVectors of one mode, exact only when both are;
+    one already in that mode passes through untouched."""
     if len(p) != len(q):
         raise ValueError(f"frequency length mismatch: {len(p)} vs {len(q)}")
-    if not len(p):
-        raise ValueError("frequency vectors must not be empty")
-    for v in itertools.chain(p, q):
-        # NaN fails both comparisons
-        if not 0 <= v < math.inf:
-            raise ValueError(f"frequencies must be finite and nonnegative, got {v}")
+    exact = _is_exact(p) and _is_exact(q)
+    return tuple(v if isinstance(v, FrequencyVector) and v.exact == exact
+                 else FrequencyVector(v, exact) for v in (p, q))
 
 
 def _injective_pair_sum(p, q, exp1, exp2, one):
@@ -217,9 +221,8 @@ def state_probability(state: IdentityState, p, q) -> StateProbability:
     so keep I small for large draw sizes. This is the paper's closed
     form, kept as the reference for state_distribution.
     """
-    _check_freqs(p, q)
-    exact = _is_exact(p) and _is_exact(q)
-    zero = Fraction(0) if exact else 0.0
+    p, q = _frequency_pair(p, q)
+    zero = Fraction(0) if p.exact else 0.0
     if state.n_distinct > len(p):
         return StateProbability(state, zero)
     exp1 = state.representative.row1.counts[: state.n_distinct]
@@ -227,9 +230,9 @@ def state_probability(state: IdentityState, p, q) -> StateProbability:
     k = state.representative.draw_size
     weight = multinomial(k, exp1) * multinomial(k, exp2)
     divisor = (1 + state.is_symmetric) * state.stabilizer_size
-    one = Fraction(1) if exact else 1.0
-    total = _injective_pair_sum(tuple(p), tuple(q), exp1, exp2, one)
-    if exact:
+    one = Fraction(1) if p.exact else 1.0
+    total = _injective_pair_sum(p.entries, q.entries, exp1, exp2, one)
+    if p.exact:
         value = Fraction(weight, divisor) * total
     else:
         value = weight / divisor * total
@@ -247,7 +250,7 @@ def brute_force_state_distribution(
     no merge_transposes: independent of the paths it checks. Exact in
     rational mode; the result sums to 1.
     """
-    _check_freqs(p, q)
+    p, q = _frequency_pair(p, q)
     if len(p) != n_objects:
         raise ValueError(f"frequencies cover {len(p)} objects, expected {n_objects}")
     cost = n_objects ** (2 * draw_size)
@@ -255,9 +258,8 @@ def brute_force_state_distribution(
         raise ValueError(f"I^(2K) = {n_objects}^{2 * draw_size} = {cost} exceeds "
                          f"the exhaustive oracle's guard ({BRUTE_FORCE_GUARD}); "
                          "pass force=True (the CLI's --force) to override")
-    exact = _is_exact(p) and _is_exact(q)
-    one = Fraction(1) if exact else 1.0
-    total = sum if exact else math.fsum
+    one = Fraction(1) if p.exact else 1.0
+    total = sum if p.exact else math.fsum
 
     def side_totals(freq):
         # probability mass reaching each count vector, one ordered outcome
@@ -273,8 +275,8 @@ def brute_force_state_distribution(
         return {g: total(terms) for g, terms in acc.items()}
 
     side = draw_size + 1
-    totals1 = side_totals(p)
-    totals2 = side_totals(q)
+    totals1 = side_totals(p.entries)
+    totals2 = side_totals(q.entries)
     dist: dict[tuple[int, ...], list] = {}
     for g1, pr1 in totals1.items():
         if not pr1:
@@ -295,22 +297,17 @@ def state_distribution(draw_size: int, p, q) -> dict[StateMatrix, object]:
     M_00 = len(p) - (nonzero columns), sorted by flattened matrix. Exact,
     summing to exactly 1, when both vectors are exact; floats otherwise.
     """
-    _check_freqs(p, q)
+    p, q = _frequency_pair(p, q)
     if draw_size < 1:
         raise ValueError(f"draw size must be >= 1, got {draw_size}")
     k = draw_size
     side = k + 1
-    exact = _is_exact(p) and _is_exact(q)
+    exact = p.exact
     if exact:
-        p = [Fraction(v) for v in p]
-        q = [Fraction(v) for v in q]
         den_p = math.lcm(*(v.denominator for v in p))
         den_q = math.lcm(*(v.denominator for v in q))
         p = [v.numerator * (den_p // v.denominator) for v in p]
         q = [v.numerator * (den_q // v.denominator) for v in q]
-    else:
-        p = [float(v) for v in p]
-        q = [float(v) for v in q]
     binom = [[math.comb(n, r) for r in range(side)] for n in range(side)]
     # A partial matrix is one int: digit a * side + b, in radix side,
     # counts the columns (a, b). No cell count exceeds K.
@@ -410,7 +407,7 @@ def monte_carlo_state_distribution(
     """
     import numpy as np
 
-    _check_freqs(p, q)
+    p, q = _frequency_pair(p, q)
     if len(p) != n_objects:
         raise ValueError(f"frequencies cover {len(p)} objects, expected {n_objects}")
     if n_samples < 1:

@@ -20,9 +20,9 @@ unreduced fraction or a field that disagrees with its matrix is a
 ValueError.
 
 Frequency input files are UTF-8, comma- or tab-delimited, with an
-optional ``object_id,p[,q]`` header; values are decimals or "a/b"
-rationals. A missing q column means q = p. Auto mode is decided once
-over both columns.
+optional ``object_id,p[,q]`` header, told by its second cell ``p``;
+values are decimals or "a/b" rationals. A missing q column means q = p.
+Auto mode is decided once over both columns.
 """
 
 from __future__ import annotations
@@ -323,13 +323,9 @@ def parse_frequency_file(
         raise ValueError(f"{path}: no data rows")
     delim = "\t" if "\t" in lines[0] else ","
     rows = [ln.split(delim) for ln in lines]
-    # optional header: first row whose second cell is not numeric
-    if len(rows[0]) >= 2:
-        _check_exponent(rows[0][1])
-        try:
-            Fraction(rows[0][1].strip())
-        except (ValueError, ZeroDivisionError):
-            rows = rows[1:]
+    # optional header object_id,p[,q]: any other first row is data
+    if len(rows[0]) >= 2 and rows[0][1].strip() == "p":
+        rows = rows[1:]
     if not rows:
         raise ValueError(f"{path}: no data rows")
     arity = len(rows[0])

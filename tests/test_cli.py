@@ -261,6 +261,16 @@ def test_bad_frequency_file(capsys, tmp_path):
     assert code == 1 and "sum to 0.9" in err
 
 
+def test_malformed_first_row_is_data_not_header(capsys, tmp_path):
+    # only a second cell reading p marks the object_id,p[,q] header
+    for first in ("a,0..5", "a,1/0"):
+        path = tmp_path / "f.csv"
+        path.write_text(f"{first}\nb,0.5\nc,0.5\n")
+        result = run_cli(capsys, "expectation", "--freq", str(path))
+        assert_one_error_line(*result)
+        assert "not a number" in result[2]
+
+
 def test_output_file(capsys, tmp_path):
     out_path = tmp_path / "table.txt"
     code, out, _ = run_cli(
@@ -696,7 +706,7 @@ def test_help_exits_zero(capsys):
 def test_huge_decimal_frequency_exits_one_line(capsys, tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("A,1e400\nB,1\n")
-    # the header probe reads the first row's second cell before any parse
+    # the first row's second cell is not p, so it is data and parsed
     huge = tmp_path / "huge.csv"
     huge.write_text("o1,1e2000000\no2,1\n")
     for argv in (
@@ -705,6 +715,7 @@ def test_huge_decimal_frequency_exits_one_line(capsys, tmp_path):
         ["expectation", "--p", "1e10000000,1"],
         ["expectation", "--mode", "rational", "--p", "1e-10000000,1"],
         ["expectation", "--freq", str(huge)],
+        ["expectation", "--p", "1e308,1e308"],
     ):
         start = time.perf_counter()
         result = run_cli(capsys, *argv)

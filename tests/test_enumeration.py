@@ -84,18 +84,28 @@ def test_catalog_counts_beyond_paper_grid():
         enumeration._canonical_flat_keys.cache_clear()
 
 
+#: Bits per coefficient of a polynomial in z packed into one int. A
+#: coefficient counts matrices: thousands at K = 8, far below 2^64.
+Z_BITS = 64
+
+
 def burnside_object_counts(k):
-    """States at draw size k with exactly n distinct objects, n = 0 .. 2k,
-    enumerating nothing.
+    """States at draw size k by n distinct objects, n = 0 .. 2k, and
+    dissimilarity numerator j, j = 0 .. k^2, as counts[n][j]; enumerating
+    nothing.
 
     A state is a matrix M with both weighted sums k, taken together with
-    its transpose; its columns (a, b) != (0, 0) are its distinct objects.
-    Transposing keeps that number n, so Burnside's lemma over
-    {identity, transpose} counts the states with n objects as
-    (N_n + S_n) / 2, where N_n counts the matrices with n objects and S_n
-    the symmetric ones: the coefficients of x^k y^k t^n in
-    prod 1 / (1 - x^a y^b t) and in
-    prod_a 1 / (1 - (xy)^a t) * prod_{a<b} 1 / (1 - (xy)^(a+b) t^2).
+    its transpose; its columns (a, b) != (0, 0) are its distinct objects,
+    and their overlap s = sum of a * b gives the dissimilarity
+    (k^2 - s) / k^2. Transposing keeps n and s, so Burnside's lemma over
+    {identity, transpose} counts the states with n objects and overlap s
+    as (N_ns + S_ns) / 2, where N_ns counts the matrices with n objects
+    and overlap s and S_ns the symmetric ones: the coefficients of
+    x^k y^k t^n z^s in prod 1 / (1 - x^a y^b t z^(ab)) and in
+    prod_a 1 / (1 - (xy)^a t z^(a^2))
+        * prod_{a<b} 1 / (1 - (xy)^(a+b) t^2 z^(2ab)).
+    A polynomial in z is one int, coefficient s in bits s * Z_BITS and up,
+    so z^s is a shift and adding ints adds polynomials.
     """
     n_max = 2 * k
     # full[x][y][n]: matrices with weighted sums x and y and n objects
@@ -103,33 +113,41 @@ def burnside_object_counts(k):
     full[0][0][0] = 1
     for a in range(k + 1):
         for b in range(k + 1):
-            if a or b:  # times 1 / (1 - x^a y^b t): one more column (a, b)
+            if a or b:  # times 1 / (1 - x^a y^b t z^(ab)): one more column (a, b)
+                shift = a * b * Z_BITS
                 for n in range(1, n_max + 1):
                     for x in range(a, k + 1):
                         for y in range(b, k + 1):
-                            full[x][y][n] += full[x - a][y - b][n - 1]
+                            full[x][y][n] += full[x - a][y - b][n - 1] << shift
     # sym[x][n]: symmetric matrices with both weighted sums x and n objects;
     # a column (a, a) is one object, a pair (a, b), (b, a) is two
     sym = [[0] * (n_max + 1) for _ in range(k + 1)]
     sym[0][0] = 1
-    factors = [(a, 1) for a in range(1, k + 1)]
-    factors += [(a + b, 2) for b in range(1, k + 1) for a in range(b) if a + b <= k]
-    for weight, objects in factors:
+    factors = [(a, 1, a * a) for a in range(1, k + 1)]
+    factors += [(a + b, 2, 2 * a * b)
+                for b in range(1, k + 1) for a in range(b) if a + b <= k]
+    for weight, objects, overlap in factors:
+        shift = overlap * Z_BITS
         for n in range(objects, n_max + 1):
             for x in range(weight, k + 1):
-                sym[x][n] += sym[x - weight][n - objects]
+                sym[x][n] += sym[x - weight][n - objects] << shift
+    mask = (1 << Z_BITS) - 1
     counts = []
     for n in range(n_max + 1):
-        orbits, rest = divmod(full[k][k][n] + sym[k][n], 2)
-        assert not rest
-        counts.append(orbits)
+        both = full[k][k][n] + sym[k][n]
+        row = []
+        for j in range(k * k + 1):  # overlap k^2 - j
+            orbits, rest = divmod(both >> (k * k - j) * Z_BITS & mask, 2)
+            assert not rest
+            row.append(orbits)
+        counts.append(row)
     return counts
 
 
 def burnside_state_counts(k):
     """State counts at draw size k for I = 1 .. 2k + 1: the states with at
     most I distinct objects."""
-    by_objects = burnside_object_counts(k)
+    by_objects = [sum(row) for row in burnside_object_counts(k)]
     return [sum(by_objects[: i + 1]) for i in range(1, 2 * k + 2)]
 
 
@@ -152,7 +170,16 @@ def test_catalog_distinct_objects_match_burnside():
         got = [0] * (2 * k + 1)
         for s in enumerate_states(k, 2 * k):
             got[s.n_distinct] += 1
-        assert got == burnside_object_counts(k), k
+        assert got == [sum(row) for row in burnside_object_counts(k)], k
+
+
+def test_catalog_dissimilarities_match_burnside():
+    # the D column of the full catalog, I = 2K, per dissimilarity numerator
+    for k in range(1, 9):
+        got = [0] * (k * k + 1)
+        for s in enumerate_states(k, 2 * k):
+            got[s.dissimilarity.numerator] += 1
+        assert got == [sum(column) for column in zip(*burnside_object_counts(k))], k
 
 
 def test_catalog_rejects_bad_sizes():

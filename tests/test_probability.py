@@ -1,5 +1,6 @@
 """State probabilities: closed form, oracles, and numeric modes."""
 
+import inspect
 import itertools
 import math
 import random
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import idstates
 from idstates import (
     DrawVector,
     FrequencyVector,
@@ -120,10 +122,11 @@ def test_frequency_vector_modes():
         FrequencyVector((0.8, 0.2), True)  # floats not exact
     with pytest.raises(ValueError):
         FrequencyVector((), True)
-    # a NaN sum is not within the tolerance; it would renormalize to NaNs
+    # a NaN entry fails the entry check; it would renormalize to NaNs
     nan = float("nan")
     for values in ((nan, 1.0), (nan,), (0.5, 0.5, nan)):
-        with pytest.raises(ValueError, match="expected 1"):
+        with pytest.raises(ValueError,
+                           match="frequencies must be finite and nonnegative, got nan"):
             FrequencyVector(values, False)
     drift = FrequencyVector((0.1,) * 10, False)
     assert math.fsum(drift.entries) == 1.0
@@ -606,26 +609,76 @@ def test_empty_frequency_vectors_rejected():
             call()
 
 
-@pytest.mark.parametrize("bad", [
-    [1.5, -0.5],  # sums to 1, so only the value check can catch it
-    [math.nan, 1.0],
-    [math.inf, 0.0],
-    [Fraction(-1, 2), Fraction(3, 2)],
-], ids=["negative", "nan", "inf", "negative-fraction"])
-def test_frequency_values_rejected(bad):
+def frequency_entry_points():
+    """Every public callable taking frequencies p and q, with the other
+    arguments it needs: {name: (callable, keyword arguments)}."""
     state = enumerate_states(2, 2)[0]
-    good = [0.5, 0.5]
-    calls = [
-        lambda p, q: state_distribution(2, p, q),
-        lambda p, q: brute_force_state_distribution(2, 2, p, q),
-        lambda p, q: monte_carlo_state_distribution(2, 2, p, q, n_samples=10, seed=1),
-        lambda p, q: state_probability(state, p, q),
-        expected_dissimilarity,
+    others = {"draw_size": 2, "n_objects": 2, "state": state,
+              "n_samples": 10, "seed": 1}
+    found = {}
+    for name in idstates.__all__:
+        func = getattr(idstates, name)
+        if name == "inner_product" or not callable(func):
+            continue  # inner_product is plain vector algebra on any sequences
+        params = inspect.signature(func).parameters
+        if {"p", "q"} <= params.keys():
+            found[name] = func, {n: others[n] for n, param in params.items()
+                                 if n not in ("p", "q")
+                                 and param.default is param.empty}
+    return found
+
+
+def test_frequency_entry_points_found():
+    assert sorted(frequency_entry_points()) == [
+        "brute_force_state_distribution", "comparison_report",
+        "expected_dissimilarity", "expected_dissimilarity_via_states",
+        "monte_carlo_state_distribution", "state_distribution",
+        "state_probability",
     ]
-    for call in calls:
+
+
+@pytest.mark.parametrize("bad, message", [
+    # sums to 1, so only the value check can catch it
+    ([1.5, -0.5], "must be finite and nonnegative, got -0.5"),
+    ([math.nan, 1.0], "must be finite and nonnegative, got nan"),
+    ([math.inf, 0.0], "must be finite and nonnegative, got inf"),
+    ([Fraction(-1, 2), Fraction(3, 2)], "must be finite and nonnegative, got -0.5"),
+    ([1, 1], "sum to 2, expected 1"),
+    ([0.3, 0.3], "sum to 0.6, expected 1"),
+    ([1e308, 1e308], "sum to inf, expected 1"),
+], ids=["negative", "nan", "inf", "negative-fraction", "ones", "short", "overflow"])
+def test_frequency_values_rejected(bad, message):
+    good = [0.5, 0.5]
+    for func, others in frequency_entry_points().values():
         for p, q in ((bad, good), (good, bad)):
-            with pytest.raises(ValueError, match="must be finite and nonnegative"):
-                call(p, q)
+            with pytest.raises(ValueError, match=message):
+                func(p=p, q=q, **others)
+
+
+def test_mixed_modes_compute_in_float():
+    # exact p with float q (or the reverse) gives the all-float results
+    rng = random.Random(18)
+    k, i = 2, 3
+    states = enumerate_states(k, i)
+
+    def results(p, q):
+        return [
+            list(state_distribution(k, p, q).items()),
+            list(brute_force_state_distribution(k, i, p, q).items()),
+            [(s, state_probability(s, p, q).value) for s in states],
+            [(None, expected_dissimilarity(p, q))],
+        ]
+
+    for _ in range(5):
+        exact = random_rational_vector(rng, i)
+        floats = tuple(float(v) for v in random_rational_vector(rng, i))
+        as_float = tuple(float(v) for v in exact)
+        for p_exact in (exact, FrequencyVector(exact, True)):
+            for mixed, float_only in (((p_exact, floats), (as_float, floats)),
+                                      ((floats, p_exact), (floats, as_float))):
+                got = results(*mixed)
+                assert got == results(*float_only)
+                assert all(type(v) is float for rows in got for _, v in rows)
 
 
 def test_state_distribution_beyond_closed_form_reach():
