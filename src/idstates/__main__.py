@@ -1,5 +1,10 @@
+import gc
 import sys
 
 from .cli import main
 
-sys.exit(main())
+code = main()
+# Exit without the cyclic collector walking every object at teardown;
+# sys.exit still runs atexit handlers and flushes the streams.
+gc.freeze()
+sys.exit(code)

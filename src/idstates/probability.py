@@ -38,17 +38,22 @@ orientations at full weight. Its cost is a falling factorial in I, so it
 serves as a cross-check on small inputs.
 
 Two numeric modes: exact rationals (Fraction entries; all identities hold
-bit-exactly) and floats. Two oracles check both paths: an exhaustive walk
-over all ordered outcomes of each draw, which sums each pair of count
-vectors onto its canonical flattened matrix itself, sharing no code with
-the production merge, and a seeded Monte Carlo sampler, which counts
-flattened matrices and ends with merge_transposes like state_distribution.
+bit-exactly) and floats. Every exact path, the fold, the closed form and
+the exhaustive walk, runs on the integer numerators of p and q over D_p
+and D_q (_numerators) and builds one Fraction per value at the end. Two
+oracles check both paths: an exhaustive walk over all ordered outcomes
+of each draw, which sums each pair of count vectors onto its canonical
+flattened matrix itself, sharing no code with the production merge, and
+a seeded Monte Carlo sampler, which counts mixed-radix codes of
+flattened matrices and ends with merge_transposes like
+state_distribution.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -186,6 +191,13 @@ def _frequency_pair(p, q) -> tuple[FrequencyVector, FrequencyVector]:
                  else FrequencyVector(v, exact) for v in (p, q))
 
 
+def _numerators(freq: FrequencyVector) -> tuple[list[int], int]:
+    """An exact vector's entries as integer numerators over the lcm D of
+    their denominators, and D."""
+    den = math.lcm(*(v.denominator for v in freq))
+    return [v.numerator * (den // v.denominator) for v in freq], den
+
+
 def _injective_pair_sum(p, q, exp1, exp2, one):
     """Sum over injective index tuples of both p/q orientations of the product."""
     n = len(exp1)
@@ -230,13 +242,14 @@ def state_probability(state: IdentityState, p, q) -> StateProbability:
     k = state.representative.draw_size
     weight = multinomial(k, exp1) * multinomial(k, exp2)
     divisor = (1 + state.is_symmetric) * state.stabilizer_size
-    one = Fraction(1) if p.exact else 1.0
-    total = _injective_pair_sum(p.entries, q.entries, exp1, exp2, one)
-    if p.exact:
-        value = Fraction(weight, divisor) * total
-    else:
-        value = weight / divisor * total
-    return StateProbability(state, value)
+    if not p.exact:
+        total = _injective_pair_sum(p.entries, q.entries, exp1, exp2, 1.0)
+        return StateProbability(state, weight / divisor * total)
+    # each product has K factors from p and K from q in both orientations
+    (p_num, den_p), (q_num, den_q) = _numerators(p), _numerators(q)
+    total = _injective_pair_sum(p_num, q_num, exp1, exp2, 1)
+    return StateProbability(
+        state, Fraction(weight * total, divisor * den_p**k * den_q**k))
 
 
 def brute_force_state_distribution(
@@ -258,8 +271,13 @@ def brute_force_state_distribution(
         raise ValueError(f"I^(2K) = {n_objects}^{2 * draw_size} = {cost} exceeds "
                          f"the exhaustive oracle's guard ({BRUTE_FORCE_GUARD}); "
                          "pass force=True (the CLI's --force) to override")
-    one = Fraction(1) if p.exact else 1.0
-    total = sum if p.exact else math.fsum
+    if p.exact:
+        # each side's products share the denominator D^K
+        (p_entries, den_p), (q_entries, den_q) = _numerators(p), _numerators(q)
+        one, total = 1, sum
+    else:
+        p_entries, q_entries = p.entries, q.entries
+        one, total = 1.0, math.fsum
 
     def side_totals(freq):
         # probability mass reaching each count vector, one ordered outcome
@@ -275,8 +293,8 @@ def brute_force_state_distribution(
         return {g: total(terms) for g, terms in acc.items()}
 
     side = draw_size + 1
-    totals1 = side_totals(p.entries)
-    totals2 = side_totals(q.entries)
+    totals1 = side_totals(p_entries)
+    totals2 = side_totals(q_entries)
     dist: dict[tuple[int, ...], list] = {}
     for g1, pr1 in totals1.items():
         if not pr1:
@@ -286,7 +304,11 @@ def brute_force_state_distribution(
                 continue
             key = _canonical_flat(_pair_flat(g1, g2, side), side)
             dist.setdefault(key, []).append(pr1 * pr2)
-    return {StateMatrix(key): total(terms) for key, terms in dist.items()}
+    if not p.exact:
+        return {StateMatrix(key): total(terms) for key, terms in dist.items()}
+    scale = den_p**draw_size * den_q**draw_size
+    return {StateMatrix(key): Fraction(sum(terms), scale)
+            for key, terms in dist.items()}
 
 
 def state_distribution(draw_size: int, p, q) -> dict[StateMatrix, object]:
@@ -304,10 +326,7 @@ def state_distribution(draw_size: int, p, q) -> dict[StateMatrix, object]:
     side = k + 1
     exact = p.exact
     if exact:
-        den_p = math.lcm(*(v.denominator for v in p))
-        den_q = math.lcm(*(v.denominator for v in q))
-        p = [v.numerator * (den_p // v.denominator) for v in p]
-        q = [v.numerator * (den_q // v.denominator) for v in q]
+        (p, den_p), (q, den_q) = _numerators(p), _numerators(q)
     binom = [[math.comb(n, r) for r in range(side)] for n in range(side)]
     # A partial matrix is one int: digit a * side + b, in radix side,
     # counts the columns (a, b). No cell count exceeds K.
@@ -352,35 +371,63 @@ def state_distribution(draw_size: int, p, q) -> dict[StateMatrix, object]:
     return {state: Fraction(weight, scale) for state, weight in merged.items()}
 
 
-def _distinct_rows(rows: np.ndarray, radix: int):
-    """Index the distinct rows of an integer matrix whose entries are < radix.
+def _code_words(bases: list[int], rows: int) -> list[tuple[np.ndarray, int, int]]:
+    """Split a mixed-radix code into int64 words, most significant first.
 
-    Returns (first row of each distinct row, each row's distinct index).
-    Rows are coded as mixed-radix int64, a chunk of columns at a time;
-    before the code could pass 2^63 - 1 it is replaced by its index among
-    the distinct codes so far.
+    Digit d (0 <= d < len(bases)) counts cell d + 1 of a flattened matrix
+    and stays below bases[d]; the code is the sum of digit d times
+    place(d), the product of the bases below d. Each word is (weight of
+    each cell within the word, the word's radix, place of its lowest
+    digit). The top word codes below 2^63. Every lower word is appended to
+    the index of a distinct code among at most `rows`, so its radix is at
+    most (2^63 - 1) // rows.
     """
     import numpy as np
 
-    limit = int(np.iinfo(np.int64).max)
-    code = np.zeros(len(rows), dtype=np.int64)
-    bound = 1  # every code is below bound
-    start = 0
-    while start < rows.shape[1]:
-        width = 0
-        while (start + width < rows.shape[1]
-               and bound * radix ** (width + 1) <= limit):
-            width += 1
-        if not width:
-            _, code = np.unique(code, return_inverse=True)
-            bound = int(code.max()) + 1
-            continue
-        digits = radix ** np.arange(width, dtype=np.int64)
-        code = code * radix**width + rows[:, start : start + width] @ digits
-        bound *= radix**width
-        start += width
-    _, first, index = np.unique(code, return_index=True, return_inverse=True)
-    return first, index
+    places = list(itertools.accumulate(bases, operator.mul, initial=1))
+    words = []
+    high, limit = len(bases), 2**63
+    while high or not words:
+        low = high
+        while low and places[high] // places[low - 1] <= limit:
+            low -= 1
+        weights = np.zeros(len(bases) + 1, dtype=np.int64)
+        weights[low + 1 : high + 1] = [places[d] // places[low] for d in range(low, high)]
+        words.append((weights, places[high] // places[low], places[low]))
+        high, limit = low, (2**63 - 1) // rows
+    return words
+
+
+def _count_codes(cells: np.ndarray, words) -> dict[int, int]:
+    """Count the matrix codes of a chunk of samples, one row of cells each.
+
+    A row's code is the sum of its cells' weights, one word at a time.
+    Before a lower word is appended, the code so far is replaced by its
+    index among the distinct codes so far; the counted codes are then
+    unwound to the full code, one Python int per distinct matrix.
+    """
+    import numpy as np
+
+    code = None
+    levels = []  # (distinct codes before a word, the word's radix, its place)
+    for weights, radix, place in words:
+        digits = weights[cells[:, 0]]
+        for j in range(1, cells.shape[1]):
+            digits += weights[cells[:, j]]
+        if code is not None:
+            distinct, code = np.unique(code, return_inverse=True)
+            levels.append((distinct, radix, place))
+            digits += code * radix
+        code = digits
+    code, counts = np.unique(code, return_counts=True)
+    full = [0] * len(code)
+    for distinct, radix, place in reversed(levels):
+        code, digits = np.divmod(code, radix)
+        full = [f + d * place for f, d in zip(full, digits.tolist())]
+        code = distinct[code]
+    top_place = words[0][2]
+    return {f + c * top_place: n
+            for f, c, n in zip(full, code.tolist(), counts.tolist())}
 
 
 def monte_carlo_state_distribution(
@@ -390,13 +437,17 @@ def monte_carlo_state_distribution(
 
     Each sample draws K objects from p and K from q (as multinomial count
     vectors via numpy's PCG64 generator). Object j of a sample is one
-    column (a, b) of its pair, coded as the matrix cell a * (K+1) + b.
-    Sorted, a sample's cells list its state matrix's columns, so samples
-    with equal sorted cells share a matrix; numpy counts each distinct
-    matrix, and merge_transposes adds each to its state. Frequencies are
-    exact counts over n_samples, so they sum to exactly 1; states are
-    sorted by flattened matrix. Reproducible for a fixed (seed, numpy
-    version).
+    column (a, b) of its pair, coded as the matrix cell c = a * (K+1) + b,
+    so a sample's flattened matrix M is the histogram of its I cells. M
+    is coded as the mixed-radix number sum over c != 0 of M_c * w_c: no
+    M_ab exceeds min(I, K // max(a, b)), which sets each digit's base, and
+    M_00 is implied by I. A sample's code is the sum of its cells'
+    weights, with no sort; numpy counts each distinct code, each is
+    decoded once, and merge_transposes adds each matrix to its state.
+    Above K = 6 the code passes 2^63 and spans several int64 words
+    (_code_words). Frequencies are exact counts over n_samples, so they
+    sum to exactly 1; states are sorted by flattened matrix. Reproducible
+    for a fixed (seed, numpy version).
 
     The stream holds every p-draw before every q-draw. So the p block is
     drawn through _chunks and kept only as its chunks of cells a * (K+1),
@@ -419,26 +470,29 @@ def monte_carlo_state_distribution(
     side = draw_size + 1
     area = side * side
     cell = np.min_scalar_type(area - 1)
+    bases = [min(n_objects, draw_size // max(divmod(c, side))) + 1
+             for c in range(1, area)]
+    words = _code_words(bases, SAMPLE_CHUNK)
     p_draws = _chunks(lambda m: rng.multinomial(draw_size, pf, size=m), n_samples)
     # the p-draws' counts a as cells a * side
     p_cells = [(drawn * side).astype(cell) for drawn in p_draws]
     q_draws = _chunks(lambda m: rng.multinomial(draw_size, qf, size=m), n_samples)
-    # flattened matrix -> samples
-    totals: dict[tuple[int, ...], int] = {}
+    # matrix code -> samples
+    totals: dict[int, int] = {}
     for p_chunk, cells in zip(p_cells, q_draws):
         # cells a * side + b
         cells += p_chunk
-        cells.sort(axis=1)
-        first, index = _distinct_rows(cells, area)
-        counts = np.bincount(index)
-        # flattened matrix of each distinct row: one bincount over row x cell
-        offsets = np.arange(len(first))[:, None] * area
-        matrices = np.bincount(
-            (offsets + cells[first]).ravel(), minlength=len(first) * area
-        ).reshape(len(first), area)
-        for flat, count in zip(map(tuple, matrices.tolist()), counts.tolist()):
-            totals[flat] = totals.get(flat, 0) + count
+        for code, count in _count_codes(cells, words).items():
+            totals[code] = totals.get(code, 0) + count
+    # flattened matrix -> samples
+    finished: dict[tuple[int, ...], int] = {}
+    for code, count in totals.items():
+        flat = [0] * area
+        for c, base in enumerate(bases, 1):
+            code, flat[c] = divmod(code, base)
+        flat[0] = n_objects - sum(flat)
+        finished[tuple(flat)] = count
     return {
         state: Fraction(count, n_samples)
-        for state, count in merge_transposes(totals, side).items()
+        for state, count in merge_transposes(finished, side).items()
     }

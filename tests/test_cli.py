@@ -516,6 +516,33 @@ def run_warnings_as_errors(argv):
     )
 
 
+def test_module_entry_point_matches_main(capsys, tmp_path):
+    # python -m idstates freezes the collector before it exits; its stdout
+    # bytes, stderr and exit code are main()'s, and an --out file is whole.
+    # Streams stay buffered, so an exit that skipped the flush would show.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+
+    def run_module(argv):
+        return subprocess.run([sys.executable, "-m", "idstates", *argv],
+                              capture_output=True, env=env, timeout=120)
+
+    records = ["enumerate", "--k", "6", "--i", "12", "--format", "records"]
+    for argv, want in [
+        (records, 0),
+        (["enumerate", "--k", "0", "--i", "2"], 1),
+        (["oracle-check", "--k", "3", "--i", "3", "--perturb", "0"], 2),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        proc = run_module(argv)
+        assert code == proc.returncode == want, argv
+        assert (proc.stdout, proc.stderr) == (out.encode(), err.encode()), argv
+    path = tmp_path / "states.jsonl"
+    proc = run_module([*records, "--out", str(path)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert path.read_bytes() == run_cli(capsys, *records)[1].encode()
+
+
 def test_cli_writes_no_warnings():
     for argv in QUIET_REQUESTS:
         proc = run_warnings_as_errors(argv)

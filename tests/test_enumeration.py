@@ -166,7 +166,7 @@ def test_catalog_counts_match_burnside():
 
 def test_catalog_distinct_objects_match_burnside():
     # the N column of the full catalog, I = 2K, per number of objects
-    for k in range(1, 9):
+    for k in range(1, 10):
         got = [0] * (2 * k + 1)
         for s in enumerate_states(k, 2 * k):
             got[s.n_distinct] += 1
@@ -175,7 +175,7 @@ def test_catalog_distinct_objects_match_burnside():
 
 def test_catalog_dissimilarities_match_burnside():
     # the D column of the full catalog, I = 2K, per dissimilarity numerator
-    for k in range(1, 9):
+    for k in range(1, 10):
         got = [0] * (k * k + 1)
         for s in enumerate_states(k, 2 * k):
             got[s.dissimilarity.numerator] += 1

@@ -517,8 +517,8 @@ def unique_rows_reference(draw_size, n_objects, p, q, n_samples, seed):
 
 
 def test_monte_carlo_matches_unique_rows_reference():
-    # at K=2, I=48 the row codes (radix 3) would pass 2^63, so they are
-    # re-indexed partway through each row
+    # K=2, I=48: rows of 48 cells, most of them the cell (0, 0) that the
+    # matrix code leaves out
     rng = random.Random(61)
     for k, i, n_samples in [(2, 4, 3000), (3, 6, 3000), (2, 48, 400)]:
         p = random_rational_vector(rng, i, force_zeros=i // 4)
@@ -531,9 +531,12 @@ def test_monte_carlo_matches_unique_rows_reference():
 
 def test_monte_carlo_matches_reference_many_pairs():
     # many distinct pairs (K=4, I=8), fewer objects than 2K, one object,
-    # and zeros on both sides
+    # and zeros on both sides; at K=7 and 8 the matrix codes span two
+    # int64 words, also with fewer objects than K, and at K=10 three
     rng = random.Random(62)
-    for k, i, n_samples in [(4, 8, 2000), (3, 2, 500), (1, 1, 50), (5, 3, 800)]:
+    for k, i, n_samples in [(4, 8, 2000), (3, 2, 500), (1, 1, 50), (5, 3, 800),
+                            (7, 14, 1500), (7, 5, 600), (8, 16, 1500), (8, 6, 600),
+                            (10, 20, 1500)]:
         p = random_rational_vector(rng, i, force_zeros=i // 3)
         q = random_rational_vector(rng, i, force_zeros=i // 2)
         for seed in (1, 77):
@@ -582,9 +585,9 @@ def test_monte_carlo_many_pairs_within_time():
 def test_numpy_annotations_resolve():
     # numpy is imported for type checkers only, so it is supplied here
     from idstates.expectation import _count_within_exceeds
-    from idstates.probability import _distinct_rows
+    from idstates.probability import _count_codes
 
-    for fn in (_distinct_rows, _count_within_exceeds):
+    for fn in (_count_codes, _count_within_exceeds):
         hints = typing.get_type_hints(fn, localns={"np": np})
         assert np.ndarray in hints.values()
 
