@@ -60,7 +60,6 @@ from .serialize import (
     StateTable,
     format_exact,
     format_float,
-    numeric_mode,
     parse_frequency_file,
     parse_frequency_values,
     write_count_grid,
@@ -134,11 +133,8 @@ def _frequencies(args: argparse.Namespace, default_uniform: bool = False):
     if args.freq is not None:
         p, q = parse_frequency_file(args.freq, mode)
     elif args.p is not None:
-        p_tokens = args.p.split(",")
-        q_tokens = [] if args.q is None else args.q.split(",")
-        mode = numeric_mode(p_tokens + q_tokens, mode)
-        p = parse_frequency_values(p_tokens, mode)
-        q = parse_frequency_values(q_tokens, mode) if q_tokens else p
+        q_tokens = None if args.q is None else args.q.split(",")
+        p, q = parse_frequency_values(args.p.split(","), q_tokens, mode)
     elif default_uniform:
         p = q = FrequencyVector.uniform(args.i, exact=mode != "float")
     else:

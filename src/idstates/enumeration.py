@@ -23,10 +23,7 @@ I > 2K the catalog is the same as at 2K with extra all-zero columns.
 The canonical form of M is the row-major lexicographic minimum of M and
 its transpose; catalogs are emitted sorted by that flattened form. That
 tuple is the one matrix format: a StateMatrix holds it as its only field,
-every producer passes its tuple straight in, and the rules here
-(_pair_flat, _canonical_flat) work on it too. merge_transposes sums
-weights keyed by flattened matrices onto their canonical states for both
-computed state distributions (probability.py).
+and the rules here (_pair_flat, _canonical_flat) work on it too.
 """
 
 from __future__ import annotations
@@ -90,7 +87,11 @@ class IdentityState(Value):
     """One identity state, built from its canonical matrix alone.
 
     The canonical (transpose-minimal) matrix is the only constructor
-    argument; every other field is derived from it once, by _derive.
+    argument. The constructor checks only that it is canonical;
+    StateMatrix checks the rest. Every other field is derived from it
+    once and built unchecked, since a valid matrix gives valid values.
+    enumerate_states hands in its keys, valid by construction, as
+    StateMatrix._trusted.
 
     The representative pair has its columns sorted in decreasing
     lexicographic order by (top, bottom), which puts nonzero columns
@@ -125,67 +126,36 @@ class IdentityState(Value):
         transposed = _transpose_flat(flat, side)
         if transposed < flat:
             raise ValueError("matrix is not in canonical (transpose-minimal) form")
-        tops, bottoms, numerator, *flags = _derive(flat, side, transposed)
+        tops: list[int] = []
+        bottoms: list[int] = []
+        overlap = 0
+        stab = 1
+        # nonzero cells in decreasing (top, bottom) order; (0, 0) pads at the end
+        for pos in compress(range(len(flat) - 1, 0, -1), flat[:0:-1]):
+            count = flat[pos]
+            top, bottom = divmod(pos, side)
+            tops += [top] * count
+            bottoms += [bottom] * count
+            overlap += top * bottom * count
+            stab *= factorial(count)
+        nonzero_cols = len(tops)
+        tops += [0] * flat[0]
+        bottoms += [0] * flat[0]
+        k = side - 1
         self._fill(
             canonical_matrix,
-            PairMatrix(DrawVector(tops), DrawVector(bottoms)),
-            DissimilarityValue(numerator, (side - 1) ** 2),
-            *flags,
+            PairMatrix._trusted(DrawVector._trusted(tuple(tops)),
+                                DrawVector._trusted(tuple(bottoms))),
+            DissimilarityValue._trusted(k * k - overlap, k * k),
+            nonzero_cols,
+            flat == transposed,
+            stab,
+            # each count is as frequent in one row as in the other: M and M^T
+            # have the same row sums
+            sorted(tops) == sorted(bottoms),
+            # every column on the diagonal
+            tops == bottoms,
         )
-
-
-def _derive(flat: tuple[int, ...], side: int, transposed: tuple[int, ...]):
-    """What an IdentityState derives from its canonical flattening.
-
-    Returns the representative's rows, the dissimilarity's numerator over
-    K^2, then n_distinct, is_symmetric, stabilizer_size, row_equiv and
-    row_equal: the fields after dissimilarity, in order.
-    """
-    tops: list[int] = []
-    bottoms: list[int] = []
-    overlap = 0
-    stab = 1
-    # nonzero cells in decreasing (top, bottom) order; (0, 0) pads at the end
-    for pos in compress(range(len(flat) - 1, 0, -1), flat[:0:-1]):
-        count = flat[pos]
-        top, bottom = divmod(pos, side)
-        tops += [top] * count
-        bottoms += [bottom] * count
-        overlap += top * bottom * count
-        stab *= factorial(count)
-    nonzero_cols = len(tops)
-    tops += [0] * flat[0]
-    bottoms += [0] * flat[0]
-    k = side - 1
-    return (
-        tuple(tops),
-        tuple(bottoms),
-        k * k - overlap,
-        nonzero_cols,
-        flat == transposed,
-        stab,
-        # each count is as frequent in one row as in the other: M and M^T
-        # have the same row sums
-        sorted(tops) == sorted(bottoms),
-        # every column on the diagonal
-        tops == bottoms,
-    )
-
-
-def _trusted_state(flat: tuple[int, ...], side: int) -> IdentityState:
-    """IdentityState of a flattening canonical by construction.
-
-    The same fields as IdentityState(StateMatrix(flat)), with none of
-    the constructors' checks: only enumerate_states calls it, on keys the
-    cell recursion produced valid and canonical.
-    """
-    tops, bottoms, numerator, *flags = _derive(flat, side, _transpose_flat(flat, side))
-    return IdentityState._trusted(
-        StateMatrix._trusted(flat),
-        PairMatrix._trusted(DrawVector._trusted(tops), DrawVector._trusted(bottoms)),
-        DissimilarityValue._trusted(numerator, (side - 1) ** 2),
-        *flags,
-    )
 
 
 def state_matrix(pair: PairMatrix) -> StateMatrix:
@@ -227,23 +197,6 @@ def _canonical_flat(flat: tuple[int, ...], side: int) -> tuple[int, ...]:
 
 def _row_sums(flat: tuple[int, ...], side: int) -> list[int]:
     return [sum(flat[r * side : (r + 1) * side]) for r in range(side)]
-
-
-def merge_transposes(
-    weights: dict[tuple[int, ...], object], side: int
-) -> dict[StateMatrix, object]:
-    """Sum weights keyed by row-major flattened side x side matrices per state.
-
-    A matrix and its transpose are one state, so each key is replaced by
-    its canonical form and the weights landing on one form are added in
-    the input's order. Returns {canonical StateMatrix: weight} sorted by
-    flattened matrix; a StateMatrix is built only for each state returned.
-    """
-    merged: dict[tuple[int, ...], object] = {}
-    for flat, weight in weights.items():
-        flat = _canonical_flat(flat, side)
-        merged[flat] = merged.get(flat, 0) + weight
-    return {StateMatrix(flat): merged[flat] for flat in sorted(merged)}
 
 
 @lru_cache(maxsize=None)
@@ -301,11 +254,10 @@ def enumerate_states(draw_size: int, n_objects: int) -> list[IdentityState]:
     """
     _check_sizes(draw_size, n_objects)
     span = 2 * draw_size
-    side = draw_size + 1
     # M_00 = I - (nonzero columns) moves entry 0 of every sorted key by the
     # same constant, so the keys' order is the catalog order
     return [
-        _trusted_state((n_objects - span + flat[0],) + flat[1:], side)
+        IdentityState(StateMatrix._trusted((n_objects - span + flat[0],) + flat[1:]))
         for flat in _canonical_flat_keys(draw_size)
         if span - flat[0] <= n_objects
     ]

@@ -10,10 +10,11 @@ a of its K top items and b of its K bottom items, and contributes
 p_i^a q_i^b. The orderings of the two draws add multinomial factors,
 built up one object at a time: with `top` and `bottom` items already
 placed, the column (a, b) multiplies by C(top + a, a) * C(bottom + b, b).
-So the objects fold into a table keyed by the partial column-type matrix
-and the budgets used; at the end the nodes with both budgets at K are the
-state matrices M, with M_00 = I - (nonzero columns), and
-enumeration.merge_transposes merges M and its transpose into one state.
+So the objects fold into a table keyed by the partial column-type matrix,
+as one integer code (_cell_bases), and the budgets used; at the end the
+nodes with both budgets at K are the state matrices M, with
+M_00 = I - (nonzero columns), and _merge_codes merges M and its
+transpose into one state.
 In exact mode p and q are integer numerators over their lcm denominators
 D_p and D_q, the fold runs on Python ints, and one division by
 D_p^K * D_q^K ends it. Float mode runs the same fold on floats.
@@ -44,9 +45,8 @@ and D_q (_numerators) and builds one Fraction per value at the end. Two
 oracles check both paths: an exhaustive walk over all ordered outcomes
 of each draw, which sums each pair of count vectors onto its canonical
 flattened matrix itself, sharing no code with the production merge, and
-a seeded Monte Carlo sampler, which counts mixed-radix codes of
-flattened matrices and ends with merge_transposes like
-state_distribution.
+a seeded Monte Carlo sampler, which counts the same matrix codes as
+state_distribution and ends with the same _merge_codes.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ from .enumeration import (
     IdentityState,
     StateMatrix,
     _canonical_flat,
+    _check_sizes,
     _pair_flat,
-    merge_transposes,
 )
 
 if TYPE_CHECKING:
@@ -260,10 +260,11 @@ def brute_force_state_distribution(
     Sums each of the I^K ordered outcomes per side (a plain product of
     entry frequencies) onto its count vector, then each pair's product
     onto its canonical flattened matrix. No multinomials, no stabilizers,
-    no merge_transposes: independent of the paths it checks. Exact in
+    no _merge_codes: independent of the paths it checks. Exact in
     rational mode; the result sums to 1.
     """
     p, q = _frequency_pair(p, q)
+    _check_sizes(draw_size, n_objects)
     if len(p) != n_objects:
         raise ValueError(f"frequencies cover {len(p)} objects, expected {n_objects}")
     cost = n_objects ** (2 * draw_size)
@@ -311,6 +312,43 @@ def brute_force_state_distribution(
             for key, terms in dist.items()}
 
 
+def _cell_bases(draw_size: int, n_objects: int) -> list[int]:
+    """Digit bases of the one integer code of a flattened state matrix.
+
+    The code is a mixed-radix number whose digit d counts cell
+    d + 1 = a * (K+1) + b; M_00 has no digit, since I implies it. No M_ab
+    exceeds min(I, K // max(a, b)), so digit d's base is that plus 1.
+    """
+    side = draw_size + 1
+    return [min(n_objects, draw_size // max(divmod(c, side))) + 1
+            for c in range(1, side * side)]
+
+
+def _merge_codes(
+    weights: dict[int, object], draw_size: int, n_objects: int
+) -> dict[StateMatrix, object]:
+    """Sum weights keyed by matrix codes (_cell_bases) per state.
+
+    Each code is decoded to its flattened matrix, with M_00 = I minus the
+    other cells. A matrix and its transpose are one state, so each matrix
+    is replaced by its canonical form and the weights landing on one form
+    are added in the input's order. Returns {canonical StateMatrix:
+    weight} sorted by flattened matrix.
+    """
+    side = draw_size + 1
+    bases = _cell_bases(draw_size, n_objects)
+    merged: dict[tuple[int, ...], object] = {}
+    for code, weight in weights.items():
+        flat = [0]
+        for base in bases:
+            code, digit = divmod(code, base)
+            flat.append(digit)
+        flat[0] = n_objects - sum(flat)
+        flat = _canonical_flat(tuple(flat), side)
+        merged[flat] = merged.get(flat, 0) + weight
+    return {StateMatrix(flat): merged[flat] for flat in sorted(merged)}
+
+
 def state_distribution(draw_size: int, p, q) -> dict[StateMatrix, object]:
     """Probability of every identity state in one pass over the objects.
 
@@ -320,22 +358,19 @@ def state_distribution(draw_size: int, p, q) -> dict[StateMatrix, object]:
     summing to exactly 1, when both vectors are exact; floats otherwise.
     """
     p, q = _frequency_pair(p, q)
-    if draw_size < 1:
-        raise ValueError(f"draw size must be >= 1, got {draw_size}")
-    k = draw_size
+    k, n_objects = draw_size, len(p)
+    _check_sizes(k, n_objects)
     side = k + 1
     exact = p.exact
     if exact:
         (p, den_p), (q, den_q) = _numerators(p), _numerators(q)
     binom = [[math.comb(n, r) for r in range(side)] for n in range(side)]
-    # A partial matrix is one int: digit a * side + b, in radix side,
-    # counts the columns (a, b). No cell count exceeds K.
-    moves = [
-        (a, b, side ** (a * side + b))
-        for a in range(side)
-        for b in range(side)
-        if a or b
-    ]
+    # A partial matrix is one int, its code (_cell_bases): no cell of a
+    # partial matrix exceeds the finished one's, so the digits fit. Move
+    # (a, b) adds one to the digit of cell a * side + b.
+    places = itertools.accumulate(_cell_bases(k, n_objects), operator.mul, initial=1)
+    moves = [(*divmod(c, side), place)
+             for c, place in zip(range(1, side * side), places)]
     # (top, bottom) budgets used -> {partial matrix: weight}
     layers: dict[tuple[int, int], dict[int, object]] = {(0, 0): {0: 1}}
     for pi, qi in zip(p, q):
@@ -356,15 +391,7 @@ def state_distribution(draw_size: int, p, q) -> dict[StateMatrix, object]:
                 for key, weight in source.items():
                     key += step
                     target[key] = target.get(key, 0) + weight * factor
-    # flattened matrix -> weight
-    finished: dict[tuple[int, ...], object] = {}
-    for key, weight in layers.get((k, k), {}).items():
-        flat = [0] * (side * side)
-        for pos in range(side * side):
-            key, flat[pos] = divmod(key, side)
-        flat[0] = len(p) - sum(flat)
-        finished[tuple(flat)] = weight
-    merged = merge_transposes(finished, side)
+    merged = _merge_codes(layers.get((k, k), {}), k, n_objects)
     if not exact:
         return merged
     scale = den_p**k * den_q**k
@@ -439,11 +466,10 @@ def monte_carlo_state_distribution(
     vectors via numpy's PCG64 generator). Object j of a sample is one
     column (a, b) of its pair, coded as the matrix cell c = a * (K+1) + b,
     so a sample's flattened matrix M is the histogram of its I cells. M
-    is coded as the mixed-radix number sum over c != 0 of M_c * w_c: no
-    M_ab exceeds min(I, K // max(a, b)), which sets each digit's base, and
-    M_00 is implied by I. A sample's code is the sum of its cells'
-    weights, with no sort; numpy counts each distinct code, each is
-    decoded once, and merge_transposes adds each matrix to its state.
+    has the fold's code, sum over c != 0 of M_c * w_c, with the digit
+    bases of _cell_bases. A sample's code is the sum of its cells'
+    weights, with no sort; numpy counts each distinct code, and
+    _merge_codes decodes each once and adds its matrix to its state.
     Above K = 6 the code passes 2^63 and spans several int64 words
     (_code_words). Frequencies are exact counts over n_samples, so they
     sum to exactly 1; states are sorted by flattened matrix. Reproducible
@@ -459,6 +485,7 @@ def monte_carlo_state_distribution(
     import numpy as np
 
     p, q = _frequency_pair(p, q)
+    _check_sizes(draw_size, n_objects)
     if len(p) != n_objects:
         raise ValueError(f"frequencies cover {len(p)} objects, expected {n_objects}")
     if n_samples < 1:
@@ -468,11 +495,8 @@ def monte_carlo_state_distribution(
     qf = np.asarray([float(v) for v in q])
     pf, qf = pf / pf.sum(), qf / qf.sum()
     side = draw_size + 1
-    area = side * side
-    cell = np.min_scalar_type(area - 1)
-    bases = [min(n_objects, draw_size // max(divmod(c, side))) + 1
-             for c in range(1, area)]
-    words = _code_words(bases, SAMPLE_CHUNK)
+    cell = np.min_scalar_type(side * side - 1)
+    words = _code_words(_cell_bases(draw_size, n_objects), SAMPLE_CHUNK)
     p_draws = _chunks(lambda m: rng.multinomial(draw_size, pf, size=m), n_samples)
     # the p-draws' counts a as cells a * side
     p_cells = [(drawn * side).astype(cell) for drawn in p_draws]
@@ -484,15 +508,7 @@ def monte_carlo_state_distribution(
         cells += p_chunk
         for code, count in _count_codes(cells, words).items():
             totals[code] = totals.get(code, 0) + count
-    # flattened matrix -> samples
-    finished: dict[tuple[int, ...], int] = {}
-    for code, count in totals.items():
-        flat = [0] * area
-        for c, base in enumerate(bases, 1):
-            code, flat[c] = divmod(code, base)
-        flat[0] = n_objects - sum(flat)
-        finished[tuple(flat)] = count
     return {
         state: Fraction(count, n_samples)
-        for state, count in merge_transposes(finished, side).items()
+        for state, count in _merge_codes(totals, draw_size, n_objects).items()
     }

@@ -287,29 +287,24 @@ def parse_state_csv(text: str) -> StateTable:
 _EXACT_TOKEN = re.compile(r"\d+(/\d+)?$")
 
 
-def numeric_mode(tokens, mode: str = "auto") -> str:
-    """The numeric mode for a set of frequency tokens.
+def parse_frequency_values(p_tokens, q_tokens=None, mode: str = "auto"):
+    """Parse columns of frequency tokens into FrequencyVectors (p, q).
 
-    Auto resolves to "rational" when every token is an integer or "a/b"
-    literal (both exact), and to "float" when any token is a decimal.
+    q is p when q_tokens is None. Auto mode is decided once over both
+    columns: "rational" when every token is an integer or "a/b" literal
+    (both exact), "float" when any token is a decimal.
     """
     if mode == "auto":
+        tokens = [*p_tokens, *(q_tokens or ())]
         exact = all(_EXACT_TOKEN.fullmatch(t.strip()) for t in tokens)
-        return "rational" if exact else "float"
-    if mode not in ("rational", "float"):
+    elif mode in ("rational", "float"):
+        exact = mode == "rational"
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    return mode
-
-
-def parse_frequency_values(tokens, mode: str = "auto"):
-    """Parse one column of frequency tokens into a FrequencyVector.
-
-    Auto mode is decided over this column alone (see numeric_mode); pass
-    the resolved mode to parse two columns alike.
-    """
-    exact = numeric_mode(tokens, mode) == "rational"
-    values = [parse_number(t, exact) for t in tokens]
-    return FrequencyVector(tuple(values), exact)
+    p = FrequencyVector(tuple(parse_number(t, exact) for t in p_tokens), exact)
+    if q_tokens is None:
+        return p, p
+    return p, FrequencyVector(tuple(parse_number(t, exact) for t in q_tokens), exact)
 
 
 def parse_frequency_file(
@@ -343,10 +338,7 @@ def parse_frequency_file(
         p_tokens.append(row[1])
         if arity == 3:
             q_tokens.append(row[2])
-    mode = numeric_mode(p_tokens + q_tokens, mode)
-    p = parse_frequency_values(p_tokens, mode)
-    q = parse_frequency_values(q_tokens, mode) if arity == 3 else p
-    return p, q
+    return parse_frequency_values(p_tokens, q_tokens if arity == 3 else None, mode)
 
 
 def write_count_grid(counts: dict[tuple[int, int], int], max_draw_size: int,

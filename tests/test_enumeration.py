@@ -1,12 +1,15 @@
 """State enumeration: canonical forms, catalogs, state records."""
 
 import random
+from itertools import accumulate
+from operator import lt, mul
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from idstates import (
+    DissimilarityValue,
     DrawVector,
     IdentityState,
     PairMatrix,
@@ -17,7 +20,8 @@ from idstates import (
     state_count,
     state_matrix,
 )
-from idstates.enumeration import _canonical_flat_keys, merge_transposes
+from idstates.enumeration import _canonical_flat_keys
+from idstates.probability import _cell_bases, _merge_codes
 
 from conftest import canonical_key, compositions, random_draw, stabilizer_oracle
 
@@ -326,8 +330,9 @@ def _plain_fields(s):
 
 
 def test_catalog_records_match_the_validating_constructor():
-    # enumerate_states builds its records without re-checking its keys;
-    # each must be what the validating constructors build from its matrix
+    # enumerate_states hands its keys to IdentityState without StateMatrix's
+    # checks; each record must be what the same constructor builds from a
+    # checked matrix, and its derived values must pass their own checks
     for k in range(1, 8):
         for i in range(1, 2 * k + 2):
             for s in enumerate_states(k, i):
@@ -335,6 +340,9 @@ def test_catalog_records_match_the_validating_constructor():
                 want = _plain_fields(IdentityState(StateMatrix(s.canonical_matrix.flattened)))
                 assert got == want
                 assert list(map(type, got)) == list(map(type, want))
+                rep = s.representative
+                assert rep == PairMatrix(DrawVector(rep.row1), DrawVector(rep.row2))
+                assert s.dissimilarity == DissimilarityValue(*got[3])
                 assert type(s) is IdentityState
                 assert type(s.representative) is PairMatrix
                 assert type(s.representative.row1) is type(s.representative.row2) is DrawVector
@@ -393,30 +401,48 @@ def test_catalog_matrices_match_a_rows_reference():
 
 
 
+def _code(flat, bases):
+    """A flattened matrix's code: cell c's count is digit c - 1 (_cell_bases)."""
+    return sum(map(mul, flat[1:], accumulate(bases, mul, initial=1)))
+
+
+def test_catalog_matrices_fit_the_cell_bases():
+    for k in range(1, 7):
+        side = k + 1
+        for i in range(1, 2 * k + 2):
+            bases = _cell_bases(k, i)
+            assert len(bases) == side * side - 1
+            for s in enumerate_states(k, i):
+                for m in (s.canonical_matrix, s.canonical_matrix.transpose()):
+                    assert all(map(lt, m.flattened[1:], bases)), (k, i, m)
+
+
 @st.composite
-def flat_weights(draw):
-    """(side, int weights keyed by flattened catalog matrices at K <= 4), each
-    key given as itself or as its transpose."""
+def coded_weights(draw):
+    """(K, I, int weights keyed by flattened catalog matrices at K <= 4 and
+    I <= 2K + 2), each key given as itself or as its transpose."""
     k = draw(st.integers(1, 4))
-    side = k + 1
+    i = draw(st.integers(1, 2 * k + 2))
     weights = {}
-    for flat in draw(st.lists(st.sampled_from(_canonical_flat_keys(k)),
-                              min_size=1, max_size=30)):
-        if draw(st.booleans()):
-            flat = tuple(flat[c * side + r] for r in range(side) for c in range(side))
+    for s in draw(st.lists(st.sampled_from(enumerate_states(k, i)),
+                           min_size=1, max_size=30)):
+        m = s.canonical_matrix.transpose() if draw(st.booleans()) else s.canonical_matrix
+        flat = m.flattened
         weights[flat] = weights.get(flat, 0) + draw(st.integers(0, 10**6))
-    return side, weights
+    return k, i, weights
 
 
-@given(flat_weights())
-def test_merge_transposes_sums_each_matrix_with_its_transpose(case):
-    side, weights = case
-    merged = merge_transposes(weights, side)
+@given(coded_weights())
+def test_merge_codes_sums_each_matrix_with_its_transpose(case):
+    k, i, weights = case
+    bases = _cell_bases(k, i)
+    merged = _merge_codes({_code(flat, bases): w for flat, w in weights.items()}, k, i)
     assert sum(merged.values()) == sum(weights.values())
     keys = [m.flattened for m in merged]
     assert keys == sorted(set(keys))
     for m, weight in merged.items():
-        assert isinstance(m, StateMatrix) and len(m.entries) == side
+        assert isinstance(m, StateMatrix) and len(m.entries) == k + 1
+        assert m.n_objects == i
         assert m.flattened <= m.transpose().flattened
         # m and m^T are one key: their weights, and only theirs, land on it
         orbit = {m.flattened, m.transpose().flattened}

@@ -25,6 +25,7 @@ from idstates import (
     enumerate_states,
     expected_dissimilarity,
     monte_carlo_state_distribution,
+    state_count,
     state_distribution,
     state_probability,
 )
@@ -597,6 +598,21 @@ def test_state_distribution_argument_checks():
         state_distribution(2, (HALF, HALF), (HALF, HALF, Fraction(0)))
     with pytest.raises(ValueError):
         state_distribution(0, (HALF, HALF), (HALF, HALF))
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_nonpositive_draw_size_is_the_same_error_everywhere(k):
+    p = FrequencyVector.uniform(2)
+    calls = [
+        lambda: enumerate_states(k, 2),
+        lambda: state_count(k, 2),
+        lambda: state_distribution(k, p, p),
+        lambda: brute_force_state_distribution(k, 2, p, p),
+        lambda: monte_carlo_state_distribution(k, 2, p, p, n_samples=10, seed=1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^draw size must be >= 1, got {k}$"):
+            call()
 
 
 def test_empty_frequency_vectors_rejected():

@@ -310,10 +310,16 @@ def test_frequency_file_errors(tmp_path):
 
 
 def test_parse_frequency_values_auto_mode():
-    exact = parse_frequency_values(["1/2", "1/2"])
-    assert exact.exact
-    floats = parse_frequency_values(["0.5", "0.5"])
-    assert not floats.exact
+    p, q = parse_frequency_values(["1/2", "1/2"])
+    assert p.exact and q is p
+    p, q = parse_frequency_values(["0.5", "0.5"])
+    assert not p.exact and q is p
+    # auto mode is decided once over both columns: one decimal makes both float
+    p, q = parse_frequency_values(["1/2", "1/2"], ["0.5", "0.5"])
+    assert not p.exact and not q.exact
+    assert p.entries == q.entries == (0.5, 0.5)
+    p, q = parse_frequency_values(["1/2", "1/2"], ["1/3", "2/3"])
+    assert p.exact and q.entries == (Fraction(1, 3), Fraction(2, 3))
 
 
 def test_count_grid_text_and_paper_layout():
