@@ -2,8 +2,7 @@
 
 Subcommands:
 
-  enumerate     identity-state table for one (K, I); probabilities appended
-                when frequencies are supplied
+  enumerate     identity-state table for one (K, I), the catalog alone
   count-table   grid of state counts for K = 1..K_max, I = 1..2*K_max
   probabilities state table with the probability column (frequencies required)
   expectation   within/between expected-dissimilarity report
@@ -22,8 +21,8 @@ failure (oracle mismatch). -h prints help and exits 0.
 
 Frequencies come from --freq (delimited file) or inline --p/--q
 (comma-separated values, decimals or "a/b"). Numeric mode is chosen
-automatically, once over p and q together (rational when every value is
-an integer or "a/b" literal, float when any is a decimal), unless forced
+automatically, once over p and q together (float when any value is a
+decimal, holding ".", "e" or "E"; rational otherwise), unless forced
 with --mode.
 
 The parser built by build_parser is the one table of which command takes
@@ -155,22 +154,18 @@ def _random_rational_vector(rng, n_objects: int) -> FrequencyVector:
             )
 
 
-def _state_table(args: argparse.Namespace, freqs) -> StateTable:
-    states = enumerate_states(args.k, args.i)
-    if freqs is None:
-        return StateTable(args.k, args.i, states)
-    p, q = freqs
-    exact = p.exact
-    dist = state_distribution(args.k, p, q)
-    zero = Fraction(0) if exact else 0.0
-    probs = [dist.get(s.canonical_matrix, zero) for s in states]
-    return StateTable(args.k, args.i, states, probabilities=probs, exact=exact)
-
-
 def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
-    """State table; `enumerate` and `probabilities` (frequencies required)."""
-    table = _state_table(args, _frequencies(args))
+    table = StateTable(args.k, args.i, enumerate_states(args.k, args.i))
     return write_state_table(table, args.format), 0
+
+
+def cmd_probabilities(args: argparse.Namespace) -> tuple[str, int]:
+    p, q = _frequencies(args)
+    states = enumerate_states(args.k, args.i)
+    dist = state_distribution(args.k, p, q)
+    zero = Fraction(0) if p.exact else 0.0
+    probs = [dist.get(s.canonical_matrix, zero) for s in states]
+    return write_state_table(StateTable(args.k, args.i, states, probs), args.format), 0
 
 
 def cmd_count_table(args: argparse.Namespace) -> tuple[str, int]:
@@ -364,12 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     draw = "draw size (items per draw)"
     add("enumerate", cmd_enumerate, "identity-state table for one (K, I)",
-        k=draw, i=True, freq=True)
+        k=draw, i=True)
     ct = add("count-table", cmd_count_table, "state-count grid for K=1..K_max",
              k="largest draw size K_max", k_default=6)
     ct.add_argument("--paper-layout", action="store_true",
                     help="blank plateau cells (I > 2K) instead of marking them")
-    add("probabilities", cmd_enumerate,
+    add("probabilities", cmd_probabilities,
         "state table with probabilities (frequencies required)",
         k=draw, i=True, freq=True)
     add("expectation", cmd_expectation, "expected-dissimilarity report",

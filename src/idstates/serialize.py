@@ -101,11 +101,12 @@ def parse_number(token: str, exact: bool):
 class StateTable(Value):
     """A state catalog plus optional per-state probabilities.
 
-    Unlike the other value classes its fields can be reassigned, so it
-    has no hash.
+    The probabilities are all Fractions (exact) or all floats; exact is
+    read from them. Unlike the other value classes its fields can be
+    reassigned, so it has no hash.
     """
 
-    __slots__ = ("draw_size", "n_objects", "states", "probabilities", "exact")
+    __slots__ = ("draw_size", "n_objects", "states", "probabilities")
 
     def __init__(
         self,
@@ -113,9 +114,13 @@ class StateTable(Value):
         n_objects: int,
         states: list[IdentityState],
         probabilities: list | None = None,
-        exact: bool = True,
     ):
-        self._fill(draw_size, n_objects, states, probabilities, exact)
+        self._fill(draw_size, n_objects, states, probabilities)
+
+    @property
+    def exact(self) -> bool:
+        """False when any probability is a float."""
+        return not any(isinstance(x, float) for x in self.probabilities or ())
 
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
@@ -202,12 +207,7 @@ def _state_fields(table: StateTable, idx: int) -> dict[str, object]:
         "row_equal": state.row_equal,
     }
     if table.probabilities is not None:
-        prob = table.probabilities[idx]
-        if not table.exact:
-            prob = float(prob)
-        elif type(prob) is not Fraction:  # Fraction(prob) costs a microsecond
-            prob = Fraction(prob)
-        fields["probability"] = prob
+        fields["probability"] = table.probabilities[idx]
     return fields
 
 
@@ -266,7 +266,7 @@ def _parse_state_table(text: str, fmt: str) -> StateTable:
             states.append(IdentityState(matrix))
             if has_prob:
                 probs.append(parse_number(str(rec["probability"]), exact))
-        table = StateTable(k, i, states, probs if has_prob else None, exact)
+        table = StateTable(k, i, states, probs if has_prob else None)
         written = write_state_table(table, fmt).split("\n")
     except (LookupError, TypeError, OverflowError, RecursionError) as err:
         raise ValueError(f"malformed state table: {err!r}") from None
@@ -284,19 +284,16 @@ def parse_state_csv(text: str) -> StateTable:
     return _parse_state_table(text, "csv")
 
 
-_EXACT_TOKEN = re.compile(r"\d+(/\d+)?$")
-
-
 def parse_frequency_values(p_tokens, q_tokens=None, mode: str = "auto"):
     """Parse columns of frequency tokens into FrequencyVectors (p, q).
 
     q is p when q_tokens is None. Auto mode is decided once over both
-    columns: "rational" when every token is an integer or "a/b" literal
-    (both exact), "float" when any token is a decimal.
+    columns: "float" when any token is a decimal, that is, holds ".", "e"
+    or "E" (Fraction's only decimal markers), and "rational" otherwise.
     """
     if mode == "auto":
         tokens = [*p_tokens, *(q_tokens or ())]
-        exact = all(_EXACT_TOKEN.fullmatch(t.strip()) for t in tokens)
+        exact = not any(marker in t for t in tokens for marker in ".eE")
     elif mode in ("rational", "float"):
         exact = mode == "rational"
     else:

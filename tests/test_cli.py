@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idstates.cli as cli
+from idstates import StateMatrix
 from idstates.cli import main
 from idstates.serialize import parse_state_records
 
@@ -67,11 +69,11 @@ def test_enumerate_single_draws(capsys):
     assert code == 0 and len(rows) == 1 + 2
 
 
-def test_enumerate_with_frequencies_records(capsys, tmp_path):
+def test_probabilities_records(capsys, tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("A,1/3,1/6\nB,1/3,2/6\nC,1/6,1/6\nD,1/6,2/6\nE,0,0\nF,0,0\n")
     code, out, _ = run_cli(
-        capsys, "enumerate", "--k", "3", "--i", "6",
+        capsys, "probabilities", "--k", "3", "--i", "6",
         "--freq", str(path), "--format", "records",
     )
     assert code == 0
@@ -83,6 +85,12 @@ def test_enumerate_with_frequencies_records(capsys, tmp_path):
 def test_probabilities_requires_frequencies(capsys):
     code, _, err = run_cli(capsys, "probabilities", "--k", "2", "--i", "4")
     assert code == 1 and "requires" in err
+
+
+def test_nonpositive_object_count_names_the_flag(capsys):
+    result = run_cli(capsys, "enumerate", "--k", "2", "--i", "0")
+    assert_one_error_line(*result)
+    assert result[2] == "error: --i must be a positive integer\n"
 
 
 def test_count_table_columns(capsys):
@@ -161,6 +169,7 @@ def test_oracle_check_perturbation_fails(capsys):
 
 def test_oracle_check_flags_one_pass_mismatch(capsys, monkeypatch):
     real = cli.state_distribution
+    real_oracle = cli.brute_force_state_distribution
 
     def corrupted(draw_size, p, q):
         dist = real(draw_size, p, q)
@@ -175,6 +184,28 @@ def test_oracle_check_flags_one_pass_mismatch(capsys, monkeypatch):
     assert code == 2
     failing = [ln for ln in out.splitlines() if "\tFAIL\t" in ln]
     assert len(failing) == 1 and "\tstate_distribution=" in failing[0]
+
+    # a state of I=4 reached in an I=2 run is in no row, so it gets its own line
+    outside = StateMatrix((0, 2, 0, 2, 0, 0, 0, 0, 0))
+
+    def reaching_outside(distribution):
+        def reached(*args, **kwargs):
+            dist = distribution(*args, **kwargs)
+            dist[outside] = Fraction(1, 1000)
+            return dist
+        return reached
+
+    monkeypatch.setattr(cli, "state_distribution", reaching_outside(real))
+    monkeypatch.setattr(cli, "brute_force_state_distribution",
+                        reaching_outside(real_oracle))
+    code, out, _ = run_cli(
+        capsys, "oracle-check", "--k", "2", "--i", "2", "--p", "1/2,1/2",
+    )
+    assert code == 2
+    assert [ln for ln in out.splitlines() if ln.startswith("FAIL")] == [
+        "FAIL\toracle reached states missing from the catalog",
+        "FAIL\tstate_distribution reached states missing from the catalog",
+    ]
 
 
 def test_oracle_check_perturb_out_of_range(capsys):
@@ -256,9 +287,12 @@ def test_missing_frequency_file(capsys, tmp_path):
 
 def test_bad_frequency_file(capsys, tmp_path):
     path = tmp_path / "f.csv"
-    path.write_text("A,0.8\nB,0.1\n")
-    code, _, err = run_cli(capsys, "expectation", "--freq", str(path))
-    assert code == 1 and "sum to 0.9" in err
+    for text, message in (("A,0.8\nB,0.1\n", "sum to 0.9"),
+                          ("", "no data rows"), ("\n \n\t\n", "no data rows")):
+        path.write_text(text)
+        result = run_cli(capsys, "expectation", "--freq", str(path))
+        assert_one_error_line(*result)
+        assert message in result[2]
 
 
 def test_malformed_first_row_is_data_not_header(capsys, tmp_path):
@@ -291,11 +325,11 @@ def test_output_file_unwritable(capsys, tmp_path):
 
 def test_byte_identical_reruns(capsys):
     _, first, _ = run_cli(
-        capsys, "enumerate", "--k", "3", "--i", "6",
+        capsys, "probabilities", "--k", "3", "--i", "6",
         "--p", "1/2,1/2,0,0,0,0", "--format", "records",
     )
     _, second, _ = run_cli(
-        capsys, "enumerate", "--k", "3", "--i", "6",
+        capsys, "probabilities", "--k", "3", "--i", "6",
         "--p", "1/2,1/2,0,0,0,0", "--format", "records",
     )
     assert first == second
@@ -556,14 +590,14 @@ def test_cli_writes_no_warnings():
 
 def test_inline_frequency_length_mismatch(capsys):
     code, _, err = run_cli(
-        capsys, "enumerate", "--k", "2", "--i", "4", "--p", "1/2,1/2"
+        capsys, "probabilities", "--k", "2", "--i", "4", "--p", "1/2,1/2"
     )
     assert code == 1 and "--i" in err
 
 
 def test_q_without_p_rejected(capsys):
     code, _, err = run_cli(
-        capsys, "enumerate", "--k", "2", "--i", "2", "--q", "1/2,1/2"
+        capsys, "probabilities", "--k", "2", "--i", "2", "--q", "1/2,1/2"
     )
     assert code == 1 and "--p" in err
 
@@ -572,7 +606,7 @@ def test_freq_and_inline_conflict(capsys, tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("A,1/2\nB,1/2\n")
     code, _, err = run_cli(
-        capsys, "enumerate", "--k", "2", "--i", "2",
+        capsys, "probabilities", "--k", "2", "--i", "2",
         "--freq", str(path), "--p", "1/2,1/2",
     )
     assert code == 1 and "not both" in err
@@ -590,13 +624,15 @@ def test_freq_and_inline_conflict(capsys, tmp_path):
     ["prevalence", "--i", "2", "--mode", "rational"],
     ["prevalence", "--i", "2", "--force"],
     ["count-table", "--k", "2", "--seed", "5"],
-    # --mode sets how given frequencies parse; only simulate has a default
     ["enumerate", "--k", "2", "--i", "3", "--mode", "float"],
-    ["enumerate", "--k", "2", "--i", "3", "--mode", "rational"],
+    ["enumerate", "--k", "2", "--i", "3", "--mode", "auto"],
+    ["enumerate", "--k", "2", "--i", "3", "--p", "1/2,1/4,1/4"],
+    ["enumerate", "--k", "2", "--i", "3", "--q", "1/2,1/4,1/4"],
+    ["enumerate", "--k", "2", "--i", "3", "--freq", "f.csv"],
+    # --mode sets how given frequencies parse; only simulate has a default
     ["oracle-check", "--k", "2", "--i", "3", "--mode", "float"],
     ["oracle-check", "--k", "2", "--i", "3", "--mode", "rational"],
     # a flag given its default value is still given
-    ["enumerate", "--k", "2", "--i", "3", "--mode", "auto"],
     ["oracle-check", "--k", "2", "--i", "3", "--mode", "auto"],
     # oracle-check reads --seed only to draw frequencies; float expectation
     # runs no state-sum check, so it reads neither --k nor --force
@@ -607,9 +643,9 @@ def test_freq_and_inline_conflict(capsys, tmp_path):
     ["expectation", "--k", "2", "--p", "0.5,0.5"],
     ["expectation", "--force", "--p", "0.5,0.5"],
     # an empty value counts as given
-    ["enumerate", "--k", "2", "--i", "2", "--p", ""],
+    ["probabilities", "--k", "2", "--i", "2", "--p", ""],
     ["enumerate", "--k", "2", "--i", "2", "--out", ""],
-    ["enumerate", "--k", "2", "--i", "2", "--freq", ""],
+    ["probabilities", "--k", "2", "--i", "2", "--freq", ""],
     ["simulate", "--k", "2", "--i", "2", "--p", ""],
     ["expectation", "--p", "1/2,1/2", "--q", ""],
 ])
@@ -654,7 +690,7 @@ FREQUENCY_FLAGS = ["--freq", "--p", "--q", "--mode"]
 
 def test_each_command_takes_only_the_flags_it_reads():
     expected = {
-        "enumerate": ["--k", "--i", *FREQUENCY_FLAGS, "--format", "--out", "--force"],
+        "enumerate": ["--k", "--i", "--format", "--out", "--force"],
         "count-table": ["--k", "--paper-layout", "--format", "--out", "--force"],
         "probabilities": ["--k", "--i", *FREQUENCY_FLAGS, "--format", "--out", "--force"],
         "expectation": ["--k", *FREQUENCY_FLAGS, "--format", "--out", "--force"],
@@ -668,7 +704,7 @@ def test_each_command_takes_only_the_flags_it_reads():
     options = parser_options()
     assert {name: sorted(opts) for name, opts in options.items()} == {
         name: sorted(opts) for name, opts in expected.items()}
-    assert sum(map(len, options.values())) == 57
+    assert sum(map(len, options.values())) == 53
 
 
 #: A request each command runs without error.
@@ -723,6 +759,19 @@ def test_readme_flag_table_matches_parser():
     assert documented == {name: sorted(opts) for name, opts in parser_options().items()}
 
 
+def test_readme_cli_examples_parse():
+    """Every `idstates ...` line of README's CLI example block is a request
+    the parser and _validate accept."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    examples = [shlex.split(line, comments=True)[1:]
+                for line in block.splitlines() if line.startswith("idstates ")]
+    assert len(examples) >= 8
+    assert {argv[0] for argv in examples} == set(parser_options())
+    for argv in examples:
+        cli._validate(cli.build_parser().parse_args(argv))
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "-h"])
@@ -737,8 +786,8 @@ def test_huge_decimal_frequency_exits_one_line(capsys, tmp_path):
     huge = tmp_path / "huge.csv"
     huge.write_text("o1,1e2000000\no2,1\n")
     for argv in (
-        ["enumerate", "--k", "2", "--i", "2", "--p", "1e400,1"],
-        ["enumerate", "--k", "2", "--i", "2", "--freq", str(path)],
+        ["probabilities", "--k", "2", "--i", "2", "--p", "1e400,1"],
+        ["probabilities", "--k", "2", "--i", "2", "--freq", str(path)],
         ["expectation", "--p", "1e10000000,1"],
         ["expectation", "--mode", "rational", "--p", "1e-10000000,1"],
         ["expectation", "--freq", str(huge)],
@@ -896,5 +945,5 @@ def test_frequency_file_fuzz_keeps_exit_contract(tmp_path_factory, case):
     path = tmp_path_factory.mktemp("freq") / "f.csv"
     path.write_bytes(data)
     for argv in (["expectation", "--freq", str(path)],
-                 ["enumerate", "--k", "2", "--i", str(n_objects), "--freq", str(path)]):
+                 ["probabilities", "--k", "2", "--i", str(n_objects), "--freq", str(path)]):
         assert_contract(*run_captured(argv))

@@ -196,6 +196,14 @@ def test_ordered_pair_probability_length_mismatch():
         ordered_pair_probability(pair, (1, 0, 0), (1, 0, 0))
 
 
+def test_oracles_reject_frequencies_of_another_length():
+    p = (Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(ValueError, match="cover 2 objects, expected 3"):
+        brute_force_state_distribution(2, 3, p, p)
+    with pytest.raises(ValueError, match="cover 2 objects, expected 3"):
+        monte_carlo_state_distribution(2, 3, p, p, n_samples=10, seed=0)
+
+
 def test_state_probability_heterozygous_pair_uniform():
     states = enumerate_states(2, 2)
     state = find_state(states, (1, 1), (1, 1))

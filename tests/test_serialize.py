@@ -40,7 +40,7 @@ def make_table(k=2, i=4, with_probs=True, exact=True):
     else:
         p = q = tuple(1.0 / i for _ in range(i))
     probs = [state_probability(s, p, q).value for s in states]
-    return StateTable(k, i, states, probabilities=probs, exact=exact)
+    return StateTable(k, i, states, probabilities=probs)
 
 
 def test_number_formatting():
@@ -94,7 +94,7 @@ def exact_table(draw):
     dist = state_distribution(k, [Fraction(w, sum(p)) for w in p],
                               [Fraction(w, sum(q)) for w in q])
     probs = [dist.get(s.canonical_matrix, Fraction(0)) for s in states]
-    return StateTable(k, i, states, probabilities=probs, exact=True)
+    return StateTable(k, i, states, probabilities=probs)
 
 
 @settings(max_examples=40)
@@ -320,6 +320,18 @@ def test_parse_frequency_values_auto_mode():
     assert p.entries == q.entries == (0.5, 0.5)
     p, q = parse_frequency_values(["1/2", "1/2"], ["1/3", "2/3"])
     assert p.exact and q.entries == (Fraction(1, 3), Fraction(2, 3))
+    # only ".", "e" and "E" mark a decimal: a sign or an underscore, which
+    # Fraction reads in an exact literal too, keeps the mode rational
+    for tokens in (["+1/2", "1/2"], ["1_0/2_0", " 1/2 "], ["1_000/2_000", "+1/2"]):
+        p, q = parse_frequency_values(tokens)
+        assert p.exact and p.entries == (Fraction(1, 2), Fraction(1, 2))
+    p, q = parse_frequency_values(["+1", "0"], ["5E-1", "1/2"])
+    assert not p.exact and p.entries == (1.0, 0.0) and q.entries == (0.5, 0.5)
+    for tokens, message in ((["inf", "1"], "not a number: 'inf'"),
+                            (["nan", "1"], "not a number: 'nan'"),
+                            (["1e400", "1"], "too large for a float: '1e400'")):
+        with pytest.raises(ValueError, match=message):
+            parse_frequency_values(tokens)
 
 
 def test_count_grid_text_and_paper_layout():

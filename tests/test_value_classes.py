@@ -48,7 +48,7 @@ VALUES = [
      ("e_pq", "e_pp", "e_qq", "avg_within", "within_exceeds_between"),
      lambda: comparison_report(P, Q)),
 ]
-TABLE_FIELDS = ("draw_size", "n_objects", "states", "probabilities", "exact")
+TABLE_FIELDS = ("draw_size", "n_objects", "states", "probabilities")
 
 
 def _table():
@@ -91,5 +91,5 @@ def test_state_table_is_a_mutable_value():
         hash(a)
     assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
     assert a != _twin(a, TABLE_FIELDS)
-    a.exact = False
+    a.probabilities = [1 / 6] * len(a.states)
     assert a != b and not a.exact
