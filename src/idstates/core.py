@@ -108,9 +108,6 @@ class DrawVector(Value):
     def __iter__(self):
         return iter(self.counts)
 
-    def __len__(self):
-        return len(self.counts)
-
 
 class PairMatrix(Value):
     """Ordered pair of draws, viewed as a 2 x I nonnegative-integer matrix.

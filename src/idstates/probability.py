@@ -46,7 +46,10 @@ oracles check both paths: an exhaustive walk over all ordered outcomes
 of each draw, which sums each pair of count vectors onto its canonical
 flattened matrix itself, sharing no code with the production merge, and
 a seeded Monte Carlo sampler, which counts the same matrix codes as
-state_distribution and ends with the same _merge_codes.
+state_distribution and ends with the same _merge_codes. The exhaustive
+walk is exact in float mode too: it reads each float as its exact binary
+value and rounds each state's sum once, so float results are checked
+against the true value of the float inputs.
 """
 
 from __future__ import annotations
@@ -149,9 +152,6 @@ class FrequencyVector(Value):
     def __len__(self):
         return len(self.entries)
 
-    def __getitem__(self, i):
-        return self.entries[i]
-
     def __iter__(self):
         return iter(self.entries)
 
@@ -192,10 +192,11 @@ def _frequency_pair(p, q) -> tuple[FrequencyVector, FrequencyVector]:
 
 
 def _numerators(freq: FrequencyVector) -> tuple[list[int], int]:
-    """An exact vector's entries as integer numerators over the lcm D of
-    their denominators, and D."""
-    den = math.lcm(*(v.denominator for v in freq))
-    return [v.numerator * (den // v.denominator) for v in freq], den
+    """A vector's entries as integer numerators over the lcm D of their
+    denominators, and D. A float entry counts as its exact binary value."""
+    ratios = [v.as_integer_ratio() for v in freq]
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _injective_pair_sum(p, q, exp1, exp2, one):
@@ -260,8 +261,11 @@ def brute_force_state_distribution(
     Sums each of the I^K ordered outcomes per side (a plain product of
     entry frequencies) onto its count vector, then each pair's product
     onto its canonical flattened matrix. No multinomials, no stabilizers,
-    no _merge_codes: independent of the paths it checks. Exact in
-    rational mode; the result sums to 1.
+    no _merge_codes: independent of the paths it checks. Runs on the
+    integer numerators of p and q in both modes, a float entry read as
+    its exact binary value, so each value is exact: a Fraction in
+    rational mode, and in float mode the correctly rounded float of the
+    exact sum. The rational result sums to 1.
     """
     p, q = _frequency_pair(p, q)
     _check_sizes(draw_size, n_objects)
@@ -272,31 +276,27 @@ def brute_force_state_distribution(
         raise ValueError(f"I^(2K) = {n_objects}^{2 * draw_size} = {cost} exceeds "
                          f"the exhaustive oracle's guard ({BRUTE_FORCE_GUARD}); "
                          "pass force=True (the CLI's --force) to override")
-    if p.exact:
-        # each side's products share the denominator D^K
-        (p_entries, den_p), (q_entries, den_q) = _numerators(p), _numerators(q)
-        one, total = 1, sum
-    else:
-        p_entries, q_entries = p.entries, q.entries
-        one, total = 1.0, math.fsum
+    # each side's products share the denominator D^K
+    (p_num, den_p), (q_num, den_q) = _numerators(p), _numerators(q)
 
     def side_totals(freq):
         # probability mass reaching each count vector, one ordered outcome
         # at a time
-        acc: dict[tuple[int, ...], list] = {}
+        acc: dict[tuple[int, ...], int] = {}
         for outcome in itertools.product(range(n_objects), repeat=draw_size):
-            prob = one
+            prob = 1
             counts = [0] * n_objects
             for obj in outcome:
                 prob *= freq[obj]
                 counts[obj] += 1
-            acc.setdefault(tuple(counts), []).append(prob)
-        return {g: total(terms) for g, terms in acc.items()}
+            counts = tuple(counts)
+            acc[counts] = acc.get(counts, 0) + prob
+        return acc
 
     side = draw_size + 1
-    totals1 = side_totals(p_entries)
-    totals2 = side_totals(q_entries)
-    dist: dict[tuple[int, ...], list] = {}
+    totals1 = side_totals(p_num)
+    totals2 = side_totals(q_num)
+    dist: dict[tuple[int, ...], int] = {}
     for g1, pr1 in totals1.items():
         if not pr1:
             continue
@@ -304,12 +304,11 @@ def brute_force_state_distribution(
             if not pr2:
                 continue
             key = _canonical_flat(_pair_flat(g1, g2, side), side)
-            dist.setdefault(key, []).append(pr1 * pr2)
-    if not p.exact:
-        return {StateMatrix(key): total(terms) for key, terms in dist.items()}
+            dist[key] = dist.get(key, 0) + pr1 * pr2
     scale = den_p**draw_size * den_q**draw_size
-    return {StateMatrix(key): Fraction(sum(terms), scale)
-            for key, terms in dist.items()}
+    # int / int is the correctly rounded quotient
+    value = Fraction if p.exact else operator.truediv
+    return {StateMatrix(key): value(weight, scale) for key, weight in dist.items()}
 
 
 def _cell_bases(draw_size: int, n_objects: int) -> list[int]:
@@ -477,7 +476,7 @@ def monte_carlo_state_distribution(
 
     The stream holds every p-draw before every q-draw. So the p block is
     drawn through _chunks and kept only as its chunks of cells a * (K+1),
-    one byte per object up to K = 14; then the q chunks are drawn through
+    one byte per object up to K = 15; then the q chunks are drawn through
     _chunks in step with them and each is classified at once. Memory is
     n_samples * n_objects cells plus O(SAMPLE_CHUNK), and the result is
     the one that drawing both blocks whole gives.

@@ -102,8 +102,7 @@ class StateTable(Value):
     """A state catalog plus optional per-state probabilities.
 
     The probabilities are all Fractions (exact) or all floats; exact is
-    read from them. Unlike the other value classes its fields can be
-    reassigned, so it has no hash.
+    read from them. Its fields are lists, so it has no hash.
     """
 
     __slots__ = ("draw_size", "n_objects", "states", "probabilities")
@@ -121,10 +120,6 @@ class StateTable(Value):
     def exact(self) -> bool:
         """False when any probability is a float."""
         return not any(isinstance(x, float) for x in self.probabilities or ())
-
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
 
 # The two cell conventions (module docstring), as (true text, false text).

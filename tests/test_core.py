@@ -127,6 +127,8 @@ def test_dissimilarity_value_bounds():
         DissimilarityValue(5, 4)
     with pytest.raises(ValueError):
         DissimilarityValue(-1, 4)
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        DissimilarityValue(1, 0)
 
 
 def test_inner_product_examples():

@@ -1,16 +1,19 @@
-"""No dead code in the package: every import is used and every module-level
-name is referenced from src/.
+"""No dead code in the package: every import is used, every module-level
+name is referenced from src/, and every class member is read somewhere.
 
 Read with the standard library's ast alone. A module-level name counts as
 referenced when some module loads it by name (outside its own definition)
 or imports it with `from .module import name`; a module's `__all__`
-counts as a use of the names it lists.
+counts as a use of the names it lists. A class member (a method, property
+or class attribute that is not a dunder) counts as read when some file
+under src/, tests/ or bench/ reads an attribute of its name.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "idstates"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "idstates"
 
 #: (module, name) pairs kept only because the benchmark under bench/ reaches
 #: them, each with the ROADMAP item whose work removes it.
@@ -71,6 +74,34 @@ def _defined(tree):
                         yield n.id, node
 
 
+def _members(tree):
+    """(class, name) of each non-dunder method, property and class
+    attribute a module's classes define."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not (name.startswith("__") and name.endswith("__")):
+                    yield cls.name, name
+
+
+def _unread_members(modules, readers):
+    """Members of the modules' classes that no reader tree reads as an
+    attribute."""
+    read = {n.attr for tree in readers for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [(module, cls, name) for module, tree in modules.items()
+            for cls, name in _members(tree) if name not in read]
+
+
 def _unused_imports(modules):
     unused = []
     for name, tree in modules.items():
@@ -113,3 +144,22 @@ def test_allow_list_holds_only_live_exceptions():
     modules = _modules()
     found = set(_unused_imports(modules)) | set(_unreferenced(modules))
     assert BENCH_ONLY <= found
+
+
+def test_every_class_member_is_read():
+    readers = [ast.parse(path.read_text(encoding="utf-8"))
+               for top in ("src", "tests", "bench")
+               for path in sorted((ROOT / top).rglob("*.py"))]
+    dead = _unread_members(_modules(), readers)
+    assert not dead, f"class members nothing reads: {sorted(dead)}"
+
+
+def test_unread_member_check_finds_an_unread_member():
+    module = ast.parse(
+        "class A:\n"
+        "    LIMIT = 1\n"
+        "    def used(self): return self.LIMIT\n"
+        "    def unused(self): pass\n"
+        "    def __len__(self): return 0\n")
+    reader = ast.parse("A().used()\nA.unused = None\n")
+    assert _unread_members({"m": module}, [module, reader]) == [("m", "A", "unused")]

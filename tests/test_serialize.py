@@ -332,6 +332,8 @@ def test_parse_frequency_values_auto_mode():
                             (["1e400", "1"], "too large for a float: '1e400'")):
         with pytest.raises(ValueError, match=message):
             parse_frequency_values(tokens)
+    with pytest.raises(ValueError, match="unknown mode 'exact'"):
+        parse_frequency_values(["1"], mode="exact")
 
 
 def test_count_grid_text_and_paper_layout():

@@ -3,8 +3,8 @@
 Each class is built twice from the same arguments. The two builds must be
 equal and hash equal, refuse assignment and deletion, survive copy and
 pickle, and never equal an instance of another class holding the same
-field values. StateTable is the mutable one: its fields can be assigned
-and it has no hash.
+field values. StateTable refuses assignment too, but its fields are
+lists, so it has no hash.
 """
 
 import copy
@@ -82,7 +82,7 @@ def test_frozen_value_semantics(cls, names, build):
     assert a != twin and twin != a
 
 
-def test_state_table_is_a_mutable_value():
+def test_state_table_is_an_unhashable_value():
     a, b = _table(), _table()
     assert a == b and a is not b
     assert repr(a).startswith("StateTable(")
@@ -91,5 +91,11 @@ def test_state_table_is_a_mutable_value():
         hash(a)
     assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
     assert a != _twin(a, TABLE_FIELDS)
-    a.probabilities = [1 / 6] * len(a.states)
-    assert a != b and not a.exact
+    for name in TABLE_FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(a, name, [1 / 6] * len(a.states))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b
+    floats = StateTable(2, 3, a.states, [1 / 6] * len(a.states))
+    assert floats != a and not floats.exact
