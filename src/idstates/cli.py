@@ -49,6 +49,7 @@ from .expectation import (
     prevalence_experiment,
 )
 from .probability import (
+    ROUNDING_SLACK,
     FrequencyVector,
     brute_force_state_distribution,
     monte_carlo_state_distribution,
@@ -155,7 +156,7 @@ def _random_rational_vector(rng, n_objects: int) -> FrequencyVector:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
-    table = StateTable(args.k, args.i, enumerate_states(args.k, args.i))
+    table = StateTable(enumerate_states(args.k, args.i))
     return write_state_table(table, args.format), 0
 
 
@@ -165,7 +166,7 @@ def cmd_probabilities(args: argparse.Namespace) -> tuple[str, int]:
     dist = state_distribution(args.k, p, q)
     zero = Fraction(0) if p.exact else 0.0
     probs = [dist.get(s.canonical_matrix, zero) for s in states]
-    return write_state_table(StateTable(args.k, args.i, states, probs), args.format), 0
+    return write_state_table(StateTable(states, probs), args.format), 0
 
 
 def cmd_count_table(args: argparse.Namespace) -> tuple[str, int]:
@@ -174,9 +175,7 @@ def cmd_count_table(args: argparse.Namespace) -> tuple[str, int]:
         for k in range(1, args.k + 1)
         for i in range(1, 2 * args.k + 1)
     }
-    return write_count_grid(
-        counts, args.k, args.format, paper_layout=args.paper_layout
-    ), 0
+    return write_count_grid(counts, args.format, paper_layout=args.paper_layout), 0
 
 
 def cmd_expectation(args: argparse.Namespace) -> tuple[str, int]:
@@ -186,13 +185,7 @@ def cmd_expectation(args: argparse.Namespace) -> tuple[str, int]:
         raise ValueError("--k and --force set the state-sum check, "
                          "which runs in rational mode only")
     report = comparison_report(p, q)
-    fields = [
-        ("e_pq", report.e_pq),
-        ("e_pp", report.e_pp),
-        ("e_qq", report.e_qq),
-        ("avg_within", report.avg_within),
-        ("within_exceeds_between", report.within_exceeds_between),
-    ]
+    fields = [(name, getattr(report, name)) for name in report.__slots__]
     if exact:
         # state-weighted route must agree bit-exactly with the closed form
         k = _draw_size(2 if args.k is None else args.k, args.force)
@@ -232,7 +225,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> tuple[str, int]:
         bump = Fraction(1, 1000) if exact else 1e-3
         theory[args.perturb] = theory[args.perturb] + bump
     one_pass = state_distribution(args.k, p, q)
-    tolerance = 0 if exact else 1e-12
+    tolerance = 0 if exact else ROUNDING_SLACK
     lines = [
         "# closed-form state probabilities vs exhaustive oracle",
         f"# draw_size={args.k} n_objects={args.i} "
@@ -269,7 +262,7 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[str, int]:
     states = enumerate_states(args.k, args.i)
     dist = state_distribution(args.k, p, q)
     empirical = monte_carlo_state_distribution(
-        args.k, args.i, p, q, n_samples=args.samples, seed=args.seed
+        args.k, p, q, n_samples=args.samples, seed=args.seed
     )
     lines = [
         "# Monte Carlo state frequencies vs closed form",
@@ -329,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, help_text, *, k=None, k_default=None, i=False,
-            freq=False, samples=False, seed=False, fmt=True):
-        """One command; k is the help text of its --k, which brings --force."""
+            freq=False, samples=False, seed=None, fmt=True):
+        """One command; k and seed: help texts of its --k (with --force), --seed."""
         sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
         sp.set_defaults(handler=handler)
         if k:
@@ -347,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--samples", type=int, default=100000,
                             help="sample/trial count")
         if seed:
-            sp.add_argument("--seed", type=int, default=0, help="RNG seed")
+            sp.add_argument("--seed", type=int, default=0, help=seed)
         if fmt:
             sp.add_argument("--format", choices=("table", "records", "csv"),
                             default="table", help="output form")
@@ -358,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     draw = "draw size (items per draw)"
+    numpy_seed = "numpy RNG seed (default 0)"
     add("enumerate", cmd_enumerate, "identity-state table for one (K, I)",
         k=draw, i=True)
     ct = add("count-table", cmd_count_table, "state-count grid for K=1..K_max",
@@ -372,16 +366,18 @@ def build_parser() -> argparse.ArgumentParser:
         freq=True)
     oc = add("oracle-check", cmd_oracle_check,
              "one-pass and closed-form probabilities vs exhaustive oracle",
-             k=draw, i=True, freq=True, seed=True, fmt=False)
+             k=draw, i=True, freq=True, fmt=False,
+             seed="seed that draws the random rational frequencies, read only "
+                  "without --freq/--p (default 0)")
     oc.add_argument("--perturb", type=int, default=None, metavar="INDEX",
                     help="test hook: corrupt state INDEX before comparing")
     # --seed draws random frequencies (default 0) only when none are given
     oc.set_defaults(seed=None)
     add("simulate", cmd_simulate,
         "one-pass probabilities vs Monte Carlo (uniform p=q by default)",
-        k=draw, i=True, freq=True, samples=True, seed=True, fmt=False)
+        k=draw, i=True, freq=True, samples=True, seed=numpy_seed, fmt=False)
     pv = add("prevalence", cmd_prevalence, "Dirichlet within-vs-between experiment",
-             i=True, samples=True, seed=True)
+             i=True, samples=True, seed=numpy_seed)
     pv.add_argument("--concentration", type=float, default=1.0,
                     help="symmetric Dirichlet concentration")
     return parser

@@ -28,6 +28,7 @@ and the rules here (_pair_flat, _canonical_flat) work on it too.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import compress
 from math import factorial, isqrt
@@ -244,6 +245,14 @@ def _check_sizes(draw_size: int, objects: int):
         raise ValueError(f"object count must be >= 1, got {objects}")
 
 
+def _fitting_keys(draw_size: int, n_objects: int) -> tuple[tuple[int, ...], ...]:
+    """The sorted catalog keys at I = 2K whose 2K - flat[0] nonzero columns
+    fit in I: a suffix, the keys with flat[0] >= 2K - I."""
+    _check_sizes(draw_size, n_objects)
+    keys = _canonical_flat_keys(draw_size)
+    return keys[bisect_left(keys, (2 * draw_size - n_objects,)):]
+
+
 def enumerate_states(draw_size: int, n_objects: int) -> list[IdentityState]:
     """Full identity-state catalog for the given draw size and object count.
 
@@ -252,21 +261,15 @@ def enumerate_states(draw_size: int, n_objects: int) -> list[IdentityState]:
     with zero columns); below 2K it is the subset fitting in n_objects
     columns.
     """
-    _check_sizes(draw_size, n_objects)
-    span = 2 * draw_size
+    pad = n_objects - 2 * draw_size
     # M_00 = I - (nonzero columns) moves entry 0 of every sorted key by the
     # same constant, so the keys' order is the catalog order
     return [
-        IdentityState(StateMatrix._trusted((n_objects - span + flat[0],) + flat[1:]))
-        for flat in _canonical_flat_keys(draw_size)
-        if span - flat[0] <= n_objects
+        IdentityState(StateMatrix._trusted((pad + flat[0],) + flat[1:]))
+        for flat in _fitting_keys(draw_size, n_objects)
     ]
 
 
 def state_count(draw_size: int, n_objects: int) -> int:
     """Number of identity states, without building state records."""
-    _check_sizes(draw_size, n_objects)
-    span = 2 * draw_size
-    return sum(
-        1 for flat in _canonical_flat_keys(draw_size) if span - flat[0] <= n_objects
-    )
+    return len(_fitting_keys(draw_size, n_objects))

@@ -26,6 +26,7 @@ from .core import Value, inner_product
 from .enumeration import enumerate_states
 # state_probability is unused here but stays importable: bench/trace_child.py wraps it
 from .probability import (  # noqa: F401
+    ROUNDING_SLACK,
     _chunks,
     _frequency_pair,
     state_distribution,
@@ -37,19 +38,19 @@ if TYPE_CHECKING:
 
 
 class ExpectationReport(Value):
-    """Within- and between-distribution expected dissimilarities."""
+    """Within- and between-distribution expected dissimilarities; the
+    average within and whether e_pp > e_pq are derived from the three."""
 
     __slots__ = ("e_pq", "e_pp", "e_qq", "avg_within", "within_exceeds_between")
 
-    _SLACK = 1e-12
-
-    def __init__(self, e_pq, e_pp, e_qq, avg_within, within_exceeds_between: bool):
+    def __init__(self, e_pq, e_pp, e_qq):
+        avg_within = (e_pp + e_qq) / 2
         for v in (e_pq, e_pp, e_qq, avg_within):
-            if not -self._SLACK <= v <= 1 + self._SLACK:
+            if not -ROUNDING_SLACK <= v <= 1 + ROUNDING_SLACK:
                 raise ValueError(f"expectation {v} out of [0, 1]")
-        if avg_within > e_pq + self._SLACK:
+        if avg_within > e_pq + ROUNDING_SLACK:
             raise ValueError(f"average within ({avg_within}) exceeds between ({e_pq})")
-        self._fill(e_pq, e_pp, e_qq, avg_within, within_exceeds_between)
+        self._fill(e_pq, e_pp, e_qq, avg_within, e_pp > e_pq)
 
 
 def expected_dissimilarity(p, q):
@@ -74,18 +75,12 @@ def expected_dissimilarity_via_states(draw_size: int, p, q):
 
 
 def comparison_report(p, q) -> ExpectationReport:
-    """Within/between comparison for two frequency vectors."""
-    e_pq = expected_dissimilarity(p, q)
-    e_pp = expected_dissimilarity(p, p)
-    e_qq = expected_dissimilarity(q, q)
-    avg = (e_pp + e_qq) / 2
-    return ExpectationReport(
-        e_pq=e_pq,
-        e_pp=e_pp,
-        e_qq=e_qq,
-        avg_within=avg,
-        within_exceeds_between=e_pp > e_pq,
-    )
+    """Within/between comparison for two frequency vectors, all three
+    expectations in the one mode of the pair."""
+    p, q = _frequency_pair(p, q)
+    return ExpectationReport(expected_dissimilarity(p, q),
+                             expected_dissimilarity(p, p),
+                             expected_dissimilarity(q, q))
 
 
 def _count_within_exceeds(p_rows: np.ndarray, q_rows: np.ndarray) -> int:

@@ -77,6 +77,10 @@ _EXACT_TYPES = (int, Fraction)
 #: Largest I**(2K) the exhaustive oracle will attempt without force=True.
 BRUTE_FORCE_GUARD = 10**8
 
+#: Float rounding allowed on a computed probability or expectation beyond
+#: its range or its exact value.
+ROUNDING_SLACK = 1e-12
+
 #: Rows a sampler draws and reduces at a time. Consecutive numpy draws
 #: continue one stream, so this bounds memory without changing results.
 SAMPLE_CHUNK = 16384
@@ -162,7 +166,7 @@ class StateProbability(Value):
     __slots__ = ("state", "value")
 
     def __init__(self, state: IdentityState, value):
-        slack = 0 if isinstance(value, _EXACT_TYPES) else 1e-12
+        slack = 0 if isinstance(value, _EXACT_TYPES) else ROUNDING_SLACK
         if not -slack <= value <= 1 + slack:
             raise ValueError(f"probability {value} out of [0, 1]")
         self._fill(state, value)
@@ -457,9 +461,9 @@ def _count_codes(cells: np.ndarray, words) -> dict[int, int]:
 
 
 def monte_carlo_state_distribution(
-    draw_size: int, n_objects: int, p, q, n_samples: int, seed: int
+    draw_size: int, p, q, n_samples: int, seed: int
 ) -> dict[StateMatrix, Fraction]:
-    """Empirical state frequencies from seeded sampling.
+    """Empirical state frequencies from seeded sampling; I is len(p).
 
     Each sample draws K objects from p and K from q (as multinomial count
     vectors via numpy's PCG64 generator). Object j of a sample is one
@@ -484,9 +488,8 @@ def monte_carlo_state_distribution(
     import numpy as np
 
     p, q = _frequency_pair(p, q)
+    n_objects = len(p)
     _check_sizes(draw_size, n_objects)
-    if len(p) != n_objects:
-        raise ValueError(f"frequencies cover {len(p)} objects, expected {n_objects}")
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     rng = np.random.default_rng(seed)

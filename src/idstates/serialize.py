@@ -33,6 +33,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import zip_longest
+from operator import attrgetter
 
 from .core import DissimilarityValue, Value
 from .enumeration import IdentityState, StateMatrix
@@ -101,20 +102,21 @@ def parse_number(token: str, exact: bool):
 class StateTable(Value):
     """A state catalog plus optional per-state probabilities.
 
-    The probabilities are all Fractions (exact) or all floats; exact is
-    read from them. Its fields are lists, so it has no hash.
+    draw_size and n_objects are read from the states' matrices, which must
+    all have the same (K, I). The probabilities are all Fractions (exact)
+    or all floats; exact is read from them. Its fields are lists, so it
+    has no hash.
     """
 
     __slots__ = ("draw_size", "n_objects", "states", "probabilities")
 
-    def __init__(
-        self,
-        draw_size: int,
-        n_objects: int,
-        states: list[IdentityState],
-        probabilities: list | None = None,
-    ):
-        self._fill(draw_size, n_objects, states, probabilities)
+    def __init__(self, states: list[IdentityState], probabilities: list | None = None):
+        sizes = {(m.draw_size, m.n_objects)
+                 for m in map(attrgetter("canonical_matrix"), states)}
+        if len(sizes) != 1:
+            raise ValueError("a state table needs states of one (K, I), got "
+                             + (", ".join(map(str, sorted(sizes))) or "none"))
+        self._fill(*sizes.pop(), states, probabilities)
 
     @property
     def exact(self) -> bool:
@@ -237,10 +239,10 @@ def write_state_table(table: StateTable, fmt: str) -> str:
 
 
 def _parse_state_table(text: str, fmt: str) -> StateTable:
-    """The table whose fmt form is exactly text. Only k, i and each record's
-    m and probability are read; the rest is derived from the matrices, and
-    the table must write back to text byte for byte. The writer quotes no
-    csv cell, so a csv line splits at its commas."""
+    """The table whose fmt form is exactly text. Only each record's m and
+    probability are read; the rest is derived from the matrices, and the
+    table must write back to text byte for byte. The writer quotes no csv
+    cell, so a csv line splits at its commas."""
     lines = text.splitlines()
     try:
         if fmt == "records":
@@ -248,20 +250,16 @@ def _parse_state_table(text: str, fmt: str) -> StateTable:
         else:
             header, *rows = [line.split(",") for line in lines] or [[]]
             records = [dict(zip(header, row)) for row in rows]
-        if not records:
-            raise ValueError("empty state table")
-        k, i = int(records[0]["k"]), int(records[0]["i"])
-        has_prob = "probability" in records[0]
-        exact = not has_prob or "probability_float" in records[0]
+        first = records[0] if records else {}
+        has_prob = "probability" in first
+        exact = not has_prob or "probability_float" in first
         states, probs = [], []
         for rec in records:
-            matrix = StateMatrix(rec["m"].split() if fmt == "csv" else rec["m"])
-            if (matrix.draw_size, matrix.n_objects) != (k, i):
-                raise ValueError(f"matrix {matrix.flattened} is not K={k}, I={i}")
-            states.append(IdentityState(matrix))
+            states.append(IdentityState(
+                StateMatrix(rec["m"].split() if fmt == "csv" else rec["m"])))
             if has_prob:
                 probs.append(parse_number(str(rec["probability"]), exact))
-        table = StateTable(k, i, states, probs if has_prob else None)
+        table = StateTable(states, probs if has_prob else None)
         written = write_state_table(table, fmt).split("\n")
     except (LookupError, TypeError, OverflowError, RecursionError) as err:
         raise ValueError(f"malformed state table: {err!r}") from None
@@ -333,14 +331,16 @@ def parse_frequency_file(
     return parse_frequency_values(p_tokens, q_tokens if arity == 3 else None, mode)
 
 
-def write_count_grid(counts: dict[tuple[int, int], int], max_draw_size: int,
-                     fmt: str, paper_layout: bool = False) -> str:
+def write_count_grid(counts: dict[tuple[int, int], int], fmt: str,
+                     paper_layout: bool = False) -> str:
     """Identity-state count grid; rows are object counts, columns draw sizes.
 
-    Cells with I > 2K repeat the I = 2K plateau value; they are marked
-    with '*' (text) or a plateau flag (records/csv), or blanked/omitted
-    under paper_layout.
+    counts holds every cell (K, I) for K = 1..K_max and I = 1..2*K_max,
+    where K_max is its largest K. Cells with I > 2K repeat the I = 2K
+    plateau value; they are marked with '*' (text) or a plateau flag
+    (records/csv), or blanked/omitted under paper_layout.
     """
+    max_draw_size = max(k for k, _ in counts)
     ks = range(1, max_draw_size + 1)
     i_range = range(1, 2 * max_draw_size + 1)
 

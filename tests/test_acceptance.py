@@ -294,7 +294,7 @@ def test_criterion_8_monte_carlo_consistency():
     uniform = FrequencyVector.uniform(4)
     states = enumerate_states(2, 4)
     empirical = monte_carlo_state_distribution(
-        2, 4, uniform, uniform, n_samples=n_samples, seed=20260810
+        2, uniform, uniform, n_samples=n_samples, seed=20260810
     )
     worst = 0.0
     ok = True

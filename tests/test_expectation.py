@@ -104,13 +104,12 @@ def test_comparison_report_quadratic_identity():
 
 def test_report_validation():
     with pytest.raises(ValueError):
-        ExpectationReport(
-            e_pq=0.2, e_pp=0.5, e_qq=0.5, avg_within=0.5, within_exceeds_between=True
-        )
+        ExpectationReport(e_pq=0.2, e_pp=0.5, e_qq=0.5)
     with pytest.raises(ValueError):
-        ExpectationReport(
-            e_pq=1.5, e_pp=0.5, e_qq=0.5, avg_within=0.5, within_exceeds_between=False
-        )
+        ExpectationReport(e_pq=1.5, e_pp=0.5, e_qq=0.5)
+    # the derived fields are read from the three expectations
+    report = ExpectationReport(e_pq=0.5, e_pp=0.1, e_qq=0.3)
+    assert (report.avg_within, report.within_exceeds_between) == (0.2, False)
 
 
 def test_fraction_zero_for_identical_rows():

@@ -23,6 +23,7 @@ from idstates import (
     StateMatrix,
     StateProbability,
     brute_force_state_distribution,
+    comparison_report,
     enumerate_states,
     expected_dissimilarity,
     monte_carlo_state_distribution,
@@ -203,8 +204,9 @@ def test_oracles_reject_frequencies_of_another_length():
     p = (Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(ValueError, match="cover 2 objects, expected 3"):
         brute_force_state_distribution(2, 3, p, p)
-    with pytest.raises(ValueError, match="cover 2 objects, expected 3"):
-        monte_carlo_state_distribution(2, 3, p, p, n_samples=10, seed=0)
+    # Monte Carlo reads I from p, so only q can be of another length
+    with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
+        monte_carlo_state_distribution(2, p, (Fraction(1, 3),) * 3, n_samples=10, seed=0)
 
 
 def test_state_probability_heterozygous_pair_uniform():
@@ -492,26 +494,26 @@ def test_size2_probability_column():
 def test_monte_carlo_degenerate_and_total():
     p = (Fraction(1), Fraction(0), Fraction(0))
     for seed in (0, 9):
-        freq = monte_carlo_state_distribution(2, 3, p, p, n_samples=500, seed=seed)
+        freq = monte_carlo_state_distribution(2, p, p, n_samples=500, seed=seed)
         assert freq == {canonical_key((2, 0, 0), (2, 0, 0)): Fraction(1)}
     u = FrequencyVector.uniform(3)
-    freq = monte_carlo_state_distribution(2, 3, u, u, n_samples=777, seed=3)
+    freq = monte_carlo_state_distribution(2, u, u, n_samples=777, seed=3)
     assert sum(freq.values()) == 1
 
 
 def test_monte_carlo_reproducible():
     u = FrequencyVector.uniform(4)
-    a = monte_carlo_state_distribution(2, 4, u, u, n_samples=2000, seed=42)
-    b = monte_carlo_state_distribution(2, 4, u, u, n_samples=2000, seed=42)
+    a = monte_carlo_state_distribution(2, u, u, n_samples=2000, seed=42)
+    b = monte_carlo_state_distribution(2, u, u, n_samples=2000, seed=42)
     assert a == b
-    c = monte_carlo_state_distribution(2, 4, u, u, n_samples=2000, seed=43)
+    c = monte_carlo_state_distribution(2, u, u, n_samples=2000, seed=43)
     assert c != a
 
 
 def test_monte_carlo_validation():
     u = FrequencyVector.uniform(2)
     with pytest.raises(ValueError):
-        monte_carlo_state_distribution(2, 2, u, u, n_samples=0, seed=1)
+        monte_carlo_state_distribution(2, u, u, n_samples=0, seed=1)
 
 
 def unique_rows_reference(draw_size, n_objects, p, q, n_samples, seed):
@@ -543,7 +545,7 @@ def test_monte_carlo_matches_unique_rows_reference():
         p = random_rational_vector(rng, i, force_zeros=i // 4)
         q = FrequencyVector.uniform(i)
         for seed in (0, 5, 2026):
-            got = monte_carlo_state_distribution(k, i, p, q, n_samples, seed)
+            got = monte_carlo_state_distribution(k, p, q, n_samples, seed)
             want = unique_rows_reference(k, i, p, q, n_samples, seed)
             assert got == want
 
@@ -559,7 +561,7 @@ def test_monte_carlo_matches_reference_many_pairs():
         p = random_rational_vector(rng, i, force_zeros=i // 3)
         q = random_rational_vector(rng, i, force_zeros=i // 2)
         for seed in (1, 77):
-            got = monte_carlo_state_distribution(k, i, p, q, n_samples, seed)
+            got = monte_carlo_state_distribution(k, p, q, n_samples, seed)
             assert got == unique_rows_reference(k, i, p, q, n_samples, seed)
 
 
@@ -573,7 +575,7 @@ def test_monte_carlo_same_at_every_chunk_size(monkeypatch, offset):
         want = unique_rows_reference(k, i, p, q, n_samples, 9)
         for chunk in ((1, 7) if offset is None else (n_samples + offset,)):
             monkeypatch.setattr(probability, "SAMPLE_CHUNK", chunk)
-            got = monte_carlo_state_distribution(k, i, p, q, n_samples, 9)
+            got = monte_carlo_state_distribution(k, p, q, n_samples, 9)
             assert got == want, (k, i, chunk)
             assert list(got) == sorted(got, key=lambda m: m.flattened)
 
@@ -584,7 +586,7 @@ def test_monte_carlo_memory_is_one_byte_per_object_plus_a_chunk():
     u = FrequencyVector.uniform(n_objects)
     tracemalloc.start()
     try:
-        monte_carlo_state_distribution(3, n_objects, u, u, n_samples, 1)
+        monte_carlo_state_distribution(3, u, u, n_samples, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -596,7 +598,7 @@ def test_monte_carlo_many_pairs_within_time():
     # distinct pair (not each distinct matrix) is canonicalized in Python
     u = FrequencyVector.uniform(12, exact=False)
     start = time.perf_counter()
-    freq = monte_carlo_state_distribution(6, 12, u, u, n_samples=10**5, seed=1)
+    freq = monte_carlo_state_distribution(6, u, u, n_samples=10**5, seed=1)
     assert time.perf_counter() - start < 2.0
     assert sum(freq.values()) == 1
 
@@ -626,7 +628,7 @@ def test_nonpositive_draw_size_is_the_same_error_everywhere(k):
         lambda: state_count(k, 2),
         lambda: state_distribution(k, p, p),
         lambda: brute_force_state_distribution(k, 2, p, p),
-        lambda: monte_carlo_state_distribution(k, 2, p, p, n_samples=10, seed=1),
+        lambda: monte_carlo_state_distribution(k, p, p, n_samples=10, seed=1),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=rf"^draw size must be >= 1, got {k}$"):
@@ -638,7 +640,7 @@ def test_empty_frequency_vectors_rejected():
     calls = [
         lambda: state_distribution(2, [], []),
         lambda: brute_force_state_distribution(2, 0, [], []),
-        lambda: monte_carlo_state_distribution(2, 0, [], [], n_samples=10, seed=1),
+        lambda: monte_carlo_state_distribution(2, [], [], n_samples=10, seed=1),
         lambda: state_probability(state, [], []),
     ]
     for call in calls:
@@ -693,13 +695,17 @@ def test_frequency_values_rejected(bad, message):
 
 
 def test_mixed_modes_compute_in_float():
-    # exact p with float q (or the reverse) gives the all-float results
+    # exact p with float q (or the reverse) gives the all-float results,
+    # in every expectation of the comparison report too
     rng = random.Random(18)
     k, i = 2, 3
     states = enumerate_states(k, i)
 
     def results(p, q):
+        report = comparison_report(p, q)
         return [
+            [(name, getattr(report, name))
+             for name in ("e_pq", "e_pp", "e_qq", "avg_within")],
             list(state_distribution(k, p, q).items()),
             list(brute_force_state_distribution(k, i, p, q).items()),
             [(s, state_probability(s, p, q).value) for s in states],

@@ -19,6 +19,7 @@ from idstates.serialize import (
     parse_state_csv,
     parse_state_records,
     rounded_float,
+    state_records,
     write_count_grid,
     write_fields,
     write_state_table,
@@ -32,7 +33,7 @@ PARSE = {"records": parse_state_records, "csv": parse_state_csv}
 def make_table(k=2, i=4, with_probs=True, exact=True):
     states = enumerate_states(k, i)
     if not with_probs:
-        return StateTable(k, i, states)
+        return StateTable(states)
     if exact:
         rng = random.Random(1)
         p = random_rational_vector(rng, i)
@@ -40,7 +41,7 @@ def make_table(k=2, i=4, with_probs=True, exact=True):
     else:
         p = q = tuple(1.0 / i for _ in range(i))
     probs = [state_probability(s, p, q).value for s in states]
-    return StateTable(k, i, states, probabilities=probs)
+    return StateTable(states, probabilities=probs)
 
 
 def test_number_formatting():
@@ -88,13 +89,13 @@ def exact_table(draw):
     k, i = draw(st.integers(1, 3)), draw(st.integers(1, 5))
     states = enumerate_states(k, i)
     if not draw(st.booleans()):
-        return StateTable(k, i, states)
+        return StateTable(states)
     weights = st.lists(st.integers(0, 6), min_size=i, max_size=i).filter(any)
     p, q = draw(weights), draw(weights)
     dist = state_distribution(k, [Fraction(w, sum(p)) for w in p],
                               [Fraction(w, sum(q)) for w in q])
     probs = [dist.get(s.canonical_matrix, Fraction(0)) for s in states]
-    return StateTable(k, i, states, probabilities=probs)
+    return StateTable(states, probabilities=probs)
 
 
 @settings(max_examples=40)
@@ -193,6 +194,17 @@ def _transposed_m(text, fmt):
     return _edit(text, fmt, 1, "m", [m[c * 3 + r] for r in range(3) for c in range(3)])
 
 
+def _mixed_draw_sizes(text, fmt):
+    """Record 1 replaced by a K=3 I=4 record whose k and i still read 2 and 4."""
+    lines = text.split("\n")
+    old = json.loads(lines[1])
+    rec = state_records(StateTable(enumerate_states(3, 4)))[1]
+    rec.update(index=old["index"], k=2, i=4, probability=old["probability"],
+               probability_float=old["probability_float"])
+    lines[1] = json.dumps(rec)
+    return "\n".join(lines)
+
+
 #: Tables the writer never writes, each made from the K=2 I=4 catalog with
 #: exact probabilities; every one must be a ValueError.
 MALFORMED = {
@@ -206,6 +218,7 @@ MALFORMED = {
     "non-canonical m": ("records", _transposed_m),
     "index out of order": ("records", lambda t, f: _edit(t, f, 1, "index", 0)),
     "mixed k": ("records", lambda t, f: _edit(t, f, 1, "k", 3)),
+    "mixed draw sizes": ("records", _mixed_draw_sizes),
     "matrix beyond i": ("records", lambda t, f: t.replace('"i": 4', '"i": 3')),
     "reordered keys": ("records", _reordered),
     "blank line": ("records", lambda t, f: t.replace("\n", "\n\n", 1)),
@@ -340,9 +353,9 @@ def test_count_grid_text_and_paper_layout():
     counts = {
         (k, i): state_count(k, i) for k in (1, 2) for i in range(1, 5)
     }
-    text = write_count_grid(counts, 2, "table")
+    text = write_count_grid(counts, "table")
     assert "2*" in text  # plateau marker for I > 2K
-    paper = write_count_grid(counts, 2, "table", paper_layout=True)
+    paper = write_count_grid(counts, "table", paper_layout=True)
     assert "*" not in paper
     lines = [ln for ln in paper.splitlines() if not ln.startswith("#")]
     # K=1 column reads 1, 2 and then blanks under paper layout
@@ -353,10 +366,10 @@ def test_count_grid_text_and_paper_layout():
 
 def test_count_grid_csv_records():
     counts = {(k, i): state_count(k, i) for k in (1, 2) for i in range(1, 5)}
-    csv_text = write_count_grid(counts, 2, "csv")
+    csv_text = write_count_grid(counts, "csv")
     assert csv_text.splitlines()[0] == "k,i,count,plateau"
     assert "2,4,7,false" in csv_text
-    rec_text = write_count_grid(counts, 2, "records", paper_layout=True)
+    rec_text = write_count_grid(counts, "records", paper_layout=True)
     assert '"plateau": true' not in rec_text
 
 

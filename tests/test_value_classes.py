@@ -52,7 +52,7 @@ TABLE_FIELDS = ("draw_size", "n_objects", "states", "probabilities")
 
 
 def _table():
-    return StateTable(2, 3, enumerate_states(2, 3))
+    return StateTable(enumerate_states(2, 3))
 
 
 def _twin(value, names):
@@ -97,5 +97,9 @@ def test_state_table_is_an_unhashable_value():
         with pytest.raises(AttributeError):
             delattr(a, name)
     assert a == b
-    floats = StateTable(2, 3, a.states, [1 / 6] * len(a.states))
+    floats = StateTable(a.states, [1 / 6] * len(a.states))
     assert floats != a and not floats.exact
+    assert (floats.draw_size, floats.n_objects) == (2, 3)
+    for states in ([], a.states + enumerate_states(2, 4)[:1]):
+        with pytest.raises(ValueError, match="states of one"):
+            StateTable(states)
