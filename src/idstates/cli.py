@@ -170,11 +170,8 @@ def cmd_probabilities(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_count_table(args: argparse.Namespace) -> tuple[str, int]:
-    counts = {
-        (k, i): state_count(k, i)
-        for k in range(1, args.k + 1)
-        for i in range(1, 2 * args.k + 1)
-    }
+    counts = {(k, i): state_count(k, i)
+              for k in range(1, args.k + 1) for i in range(1, 2 * k + 1)}
     return write_count_grid(counts, args.format, paper_layout=args.paper_layout), 0
 
 

@@ -181,19 +181,11 @@ def dissimilarity(g1, g2) -> DissimilarityValue:
     that the two elements are different objects. Symmetric in its
     arguments; exact.
 
-    Raises ValueError if the draws have different lengths or draw sizes.
+    Raises PairMatrix's ValueError if the draws differ in length or size.
     """
-    d1, d2 = _as_draw(g1), _as_draw(g2)
-    if d1.n_objects != d2.n_objects:
-        raise ValueError(
-            f"draws cover different object counts: {d1.n_objects} vs {d2.n_objects}"
-        )
-    if d1.draw_size != d2.draw_size:
-        raise ValueError(
-            f"draws have different sizes: {d1.draw_size} vs {d2.draw_size}"
-        )
-    k = d1.draw_size
-    overlap = sum(a * b for a, b in zip(d1.counts, d2.counts))
+    pair = PairMatrix(_as_draw(g1), _as_draw(g2))
+    k = pair.draw_size
+    overlap = sum(a * b for a, b in pair.columns)
     return DissimilarityValue(k * k - overlap, k * k)
 
 

@@ -163,13 +163,13 @@ class FrequencyVector(Value):
 class StateProbability(Value):
     """Probability assigned to one identity state."""
 
-    __slots__ = ("state", "value")
+    __slots__ = ("value",)
 
-    def __init__(self, state: IdentityState, value):
+    def __init__(self, value):
         slack = 0 if isinstance(value, _EXACT_TYPES) else ROUNDING_SLACK
         if not -slack <= value <= 1 + slack:
             raise ValueError(f"probability {value} out of [0, 1]")
-        self._fill(state, value)
+        self._fill(value)
 
 
 def multinomial(total: int, parts) -> int:
@@ -203,11 +203,11 @@ def _numerators(freq: FrequencyVector) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in ratios], den
 
 
-def _injective_pair_sum(p, q, exp1, exp2, one):
+def _injective_pair_sum(p, q, exp1, exp2):
     """Sum over injective index tuples of both p/q orientations of the product."""
     n = len(exp1)
     slots = len(p)
-    total = one - one  # zero of the working numeric type
+    total = 0  # 0 + x and 1 * x are exact for a float x: the ints serve both modes
 
     def rec(depth, mask, fwd, rev):
         nonlocal total
@@ -224,7 +224,7 @@ def _injective_pair_sum(p, q, exp1, exp2, one):
             if f or r:  # all continuations of a doubly-zero branch are zero
                 rec(depth + 1, mask | 1 << i, f, r)
 
-    rec(0, 0, one, one)
+    rec(0, 0, 1, 1)
     return total
 
 
@@ -239,22 +239,20 @@ def state_probability(state: IdentityState, p, q) -> StateProbability:
     form, kept as the reference for state_distribution.
     """
     p, q = _frequency_pair(p, q)
-    zero = Fraction(0) if p.exact else 0.0
     if state.n_distinct > len(p):
-        return StateProbability(state, zero)
+        return StateProbability(Fraction(0) if p.exact else 0.0)
     exp1 = state.representative.row1.counts[: state.n_distinct]
     exp2 = state.representative.row2.counts[: state.n_distinct]
     k = state.representative.draw_size
     weight = multinomial(k, exp1) * multinomial(k, exp2)
     divisor = (1 + state.is_symmetric) * state.stabilizer_size
     if not p.exact:
-        total = _injective_pair_sum(p.entries, q.entries, exp1, exp2, 1.0)
-        return StateProbability(state, weight / divisor * total)
+        total = _injective_pair_sum(p.entries, q.entries, exp1, exp2)
+        return StateProbability(weight / divisor * total)
     # each product has K factors from p and K from q in both orientations
     (p_num, den_p), (q_num, den_q) = _numerators(p), _numerators(q)
-    total = _injective_pair_sum(p_num, q_num, exp1, exp2, 1)
-    return StateProbability(
-        state, Fraction(weight * total, divisor * den_p**k * den_q**k))
+    total = _injective_pair_sum(p_num, q_num, exp1, exp2)
+    return StateProbability(Fraction(weight * total, divisor * den_p**k * den_q**k))
 
 
 def brute_force_state_distribution(

@@ -103,9 +103,9 @@ class StateTable(Value):
     """A state catalog plus optional per-state probabilities.
 
     draw_size and n_objects are read from the states' matrices, which must
-    all have the same (K, I). The probabilities are all Fractions (exact)
-    or all floats; exact is read from them. Its fields are lists, so it
-    has no hash.
+    all have the same (K, I). The probabilities, one per state, are all
+    Fractions (exact) or all floats; exact is read from them. Its fields
+    are lists, so it has no hash.
     """
 
     __slots__ = ("draw_size", "n_objects", "states", "probabilities")
@@ -116,6 +116,9 @@ class StateTable(Value):
         if len(sizes) != 1:
             raise ValueError("a state table needs states of one (K, I), got "
                              + (", ".join(map(str, sorted(sizes))) or "none"))
+        if probabilities is not None and len(probabilities) != len(states):
+            raise ValueError(f"a state table needs one probability per state: "
+                             f"{len(probabilities)} for {len(states)} states")
         self._fill(*sizes.pop(), states, probabilities)
 
     @property
@@ -335,23 +338,29 @@ def write_count_grid(counts: dict[tuple[int, int], int], fmt: str,
                      paper_layout: bool = False) -> str:
     """Identity-state count grid; rows are object counts, columns draw sizes.
 
-    counts holds every cell (K, I) for K = 1..K_max and I = 1..2*K_max,
-    where K_max is its largest K. Cells with I > 2K repeat the I = 2K
-    plateau value; they are marked with '*' (text) or a plateau flag
+    counts needs the cells (K, I <= 2K) for K = 1..K_max, its largest K; a
+    missing one is a ValueError. A cell with 2K < I <= 2*K_max repeats the
+    plateau value at (K, 2K): it is marked '*' (text) or plateau
     (records/csv), or blanked/omitted under paper_layout.
     """
-    max_draw_size = max(k for k, _ in counts)
+    max_draw_size = max((k for k, _ in counts), default=0)
+    if max_draw_size < 1:
+        raise ValueError("a count grid needs at least one cell with K >= 1")
     ks = range(1, max_draw_size + 1)
     i_range = range(1, 2 * max_draw_size + 1)
+    try:
+        grid = {(k, i): counts[k, min(i, 2 * k)] for i in i_range for k in ks}
+    except KeyError as err:
+        raise ValueError(f"count grid lacks the cell (K, I) = {err.args[0]}") from None
 
     def records():
-        return [{"k": k, "i": i, "count": counts[(k, i)], "plateau": i > 2 * k}
+        return [{"k": k, "i": i, "count": grid[k, i], "plateau": i > 2 * k}
                 for i in i_range for k in ks if not (paper_layout and i > 2 * k)]
 
     def cell(k, i):
         if i <= 2 * k:
-            return str(counts[(k, i)])
-        return "" if paper_layout else f"{counts[(k, i)]}*"
+            return str(grid[k, i])
+        return "" if paper_layout else f"{grid[k, i]}*"
 
     def table():
         lines = ["# identity-state counts (rows: object count I, columns: draw size K)"]

@@ -371,6 +371,9 @@ GOLDEN_OUTPUTS = [
     ("oracle-check-k3-i4",
      ["oracle-check", "--k", "3", "--i", "4"],
      "abd7a00310a8888fb7fc5cb471fb310f8b714d7a8b6abb414786b5fd854450ee"),
+    ("oracle-check-k3-i8-float",
+     ["oracle-check", "--k", "3", "--i", "8", *FLOAT_PQ],
+     "f4a8b9b7ad1caeeabdfdb57a0cc11454c02d2b8ca9237b2fd6dea7d97663f0a4"),
     ("count-table-k4-records",
      ["count-table", "--k", "4", "--format", "records"],
      "e4d843a3f3cfb1fc54c1e83092852a717cf15a32d9155d689c101cbd9faecb90"),

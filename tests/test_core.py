@@ -96,10 +96,10 @@ def test_value_range():
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rows cover different object counts: 2 vs 3"):
         dissimilarity((2, 0), (2, 0, 0))
-    with pytest.raises(ValueError):
-        dissimilarity((2, 0), (1, 0))  # different draw sizes
+    with pytest.raises(ValueError, match="rows have different draw sizes: 2 vs 1"):
+        dissimilarity((2, 0), (1, 0))
 
 
 def test_draw_vector_validation():

@@ -309,7 +309,29 @@ def test_state_probability_argument_checks():
         state_probability(state, (HALF, HALF), (HALF, HALF, Fraction(0)))
     for value in (Fraction(3, 2), 1.5):
         with pytest.raises(ValueError, match=r"out of \[0, 1\]"):
-            StateProbability(state, value)
+            StateProbability(value)
+
+
+# float.hex of state_probability at K=3 I=8 on the float golden inputs of
+# tests/test_cli.py, one per state of enumerate_states(3, 8): the float
+# closed form must keep every bit.
+FLOAT_P = (0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05)
+FLOAT_Q = (0.125, 0.125, 0.125, 0.125, 0.2, 0.1, 0.2, 0.0)
+FLOAT_CLOSED_FORM_HEX = [
+    "0x1.abbee3d5fdc50p-5", "0x1.3b619da9c999ap-3", "0x1.654100e6afcb3p-3",
+    "0x1.791db445ed4afp-6", "0x1.00f7c5692b3d4p-3", "0x1.82bce8533b0ffp-4",
+    "0x1.f406a098915a7p-4", "0x1.550a0b1bbcf5dp-4", "0x1.b4f2f123c42a5p-8",
+    "0x1.a6e75ff609dd5p-5", "0x1.c95a3a083989ap-7", "0x1.3d18fc5048170p-6",
+    "0x1.22858ff759688p-6", "0x1.188eb8950763cp-5", "0x1.f46c97d8cf393p-7",
+    "0x1.9fab53d640e9cp-9", "0x1.75c39bcba3015p-9", "0x1.59b5e95b78ccbp-9",
+    "0x1.56b65a9a80495p-9", "0x1.d377e1b8ed1c2p-11", "0x1.590c0ad03d9a9p-14",
+]
+
+
+def test_float_closed_form_bits_are_pinned():
+    got = [state_probability(s, FLOAT_P, FLOAT_Q).value.hex()
+           for s in enumerate_states(3, 8)]
+    assert got == FLOAT_CLOSED_FORM_HEX
 
 
 def test_state_probability_symmetric_in_populations():

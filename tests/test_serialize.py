@@ -373,6 +373,20 @@ def test_count_grid_csv_records():
     assert '"plateau": true' not in rec_text
 
 
+def test_count_grid_needs_only_the_cells_up_to_the_plateau():
+    full = {(k, i): state_count(k, i) for k in (1, 2, 3) for i in range(1, 7)}
+    below = {(k, i): n for (k, i), n in full.items() if i <= 2 * k}
+    for fmt in ("table", "records", "csv"):
+        for paper_layout in (False, True):
+            assert (write_count_grid(below, fmt, paper_layout)
+                    == write_count_grid(full, fmt, paper_layout))
+    with pytest.raises(ValueError, match=r"lacks the cell \(K, I\) = \(1, 2\)"):
+        write_count_grid({(1, 1): 1, (2, 1): 1}, "table")
+    for counts in ({}, {(0, 5): 3}):
+        with pytest.raises(ValueError, match="needs at least one cell with K >= 1"):
+            write_count_grid(counts, "table")
+
+
 def test_write_fields_forms():
     fields = [("alpha", Fraction(1, 4)), ("flag", True), ("x", 0.5)]
     table = write_fields(fields, "table")

@@ -42,8 +42,7 @@ VALUES = [
       "is_symmetric", "stabilizer_size", "row_equiv", "row_equal"),
      lambda: IdentityState(StateMatrix((2, 0, 0, 1, 0, 1, 0, 0, 0)))),
     (FrequencyVector, ("entries", "exact"), lambda: FrequencyVector(P, True)),
-    (StateProbability, ("state", "value"),
-     lambda: StateProbability(enumerate_states(2, 3)[1], Fraction(1, 3))),
+    (StateProbability, ("value",), lambda: StateProbability(Fraction(1, 3))),
     (ExpectationReport,
      ("e_pq", "e_pp", "e_qq", "avg_within", "within_exceeds_between"),
      lambda: comparison_report(P, Q)),
@@ -103,3 +102,5 @@ def test_state_table_is_an_unhashable_value():
     for states in ([], a.states + enumerate_states(2, 4)[:1]):
         with pytest.raises(ValueError, match="states of one"):
             StateTable(states)
+    with pytest.raises(ValueError, match="one probability per state: 1 for 6 states"):
+        StateTable(a.states, [0.5])
