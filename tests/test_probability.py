@@ -334,6 +334,51 @@ def test_float_closed_form_bits_are_pinned():
     assert got == FLOAT_CLOSED_FORM_HEX
 
 
+# float.hex of state_distribution on the same inputs at K=3 and K=4 (I=8),
+# in its order (sorted by flattened matrix): the fold must keep every bit.
+FLOAT_FOLD_HEX = {
+    3: [
+        "0x1.abbee3d5fdce2p-5", "0x1.3b619da9c992ap-3", "0x1.654100e6afcd0p-3",
+        "0x1.791db445ed4a4p-6", "0x1.00f7c5692b3cep-3", "0x1.82bce8533b108p-4",
+        "0x1.f406a098915c0p-4", "0x1.550a0b1bbcf51p-4", "0x1.b4f2f123c42a8p-8",
+        "0x1.a6e75ff609dd1p-5", "0x1.c95a3a08398a7p-7", "0x1.3d18fc5048170p-6",
+        "0x1.22858ff759687p-6", "0x1.188eb8950763cp-5", "0x1.f46c97d8cf39bp-7",
+        "0x1.9fab53d640e9ep-9", "0x1.75c39bcba3015p-9", "0x1.59b5e95b78ccbp-9",
+        "0x1.56b65a9a80497p-9", "0x1.d377e1b8ed1c1p-11", "0x1.590c0ad03d9a9p-14",
+    ],
+    4: [
+        "0x1.e332d53f6215dp-11", "0x1.3074497df8538p-6", "0x1.34489316c8998p-6",
+        "0x1.cf7e1f14c330dp-8", "0x1.8a62b5d7bdc1cp-7", "0x1.6912ed02216d8p-4",
+        "0x1.9a8ccc2bbd1d5p-5", "0x1.673acddc415f1p-5", "0x1.689dddcbf891ap-5",
+        "0x1.21c9648d7345cp-9", "0x1.2b0b4a36041e1p-6", "0x1.98e7e328aecb0p-5",
+        "0x1.5d372ce7ea8aap-6", "0x1.60ffb16614064p-6", "0x1.9bea9f45ab052p-6",
+        "0x1.9250be3381e2cp-4", "0x1.21ee136e71cdcp-6", "0x1.2975725d6a946p-5",
+        "0x1.0fbf45bb20273p-4", "0x1.0ad0337edd80cp-4", "0x1.e4d494ed377bap-7",
+        "0x1.c19f7220aecc5p-10", "0x1.b548d200e9342p-6", "0x1.19364bc1747f2p-7",
+        "0x1.d96dae2e51216p-7", "0x1.35eb41570d580p-9", "0x1.3b05f790c5b5ap-8",
+        "0x1.4644bd1e5906ap-6", "0x1.3b5028b759483p-7", "0x1.29fa3895c8a9cp-7",
+        "0x1.7c7fe4265ab2dp-6", "0x1.224b0a3f74096p-5", "0x1.5763751a5e504p-7",
+        "0x1.fa97782c36951p-10", "0x1.a71578b8229bep-8", "0x1.37a17b0f6ad72p-6",
+        "0x1.19a653bc3fb6fp-6", "0x1.055da272862f7p-6", "0x1.04a466fd0f34ep-7",
+        "0x1.5b0c255249f9dp-8", "0x1.3c7ca19134c66p-9", "0x1.09268cdc9cceap-8",
+        "0x1.dceee3a2fd1acp-9", "0x1.b9c0cbb7a3f0fp-10", "0x1.01b0be4e59d54p-9",
+        "0x1.faf1830f9472cp-9", "0x1.1a402d41ac9dcp-8", "0x1.b837139283fbcp-9",
+        "0x1.9c329cb557e61p-11", "0x1.5bc07ee0b0af8p-11", "0x1.143e2b89c692cp-10",
+        "0x1.5ef8a71b37690p-9", "0x1.2945811390d69p-10", "0x1.1564bd18faa2ep-9",
+        "0x1.7f4bbbeb282cdp-10", "0x1.1fa7a6f87cd40p-9", "0x1.7fcad0f423d3cp-11",
+        "0x1.ca2b5cd00fa2ap-14", "0x1.7cba3aceddf43p-12", "0x1.706e0c4d155c9p-13",
+        "0x1.6717a15c5ba0ap-13", "0x1.63dd4a1d85772p-13", "0x1.08ceb0a7a8253p-13",
+        "0x1.b4a131e95c249p-14", "0x1.54feaa3f84247p-15", "0x1.5c8ff8dbf45d0p-19",
+    ],
+}
+
+
+def test_float_fold_bits_are_pinned():
+    for k, pinned in FLOAT_FOLD_HEX.items():
+        got = [v.hex() for v in state_distribution(k, FLOAT_P, FLOAT_Q).values()]
+        assert got == pinned
+
+
 def test_state_probability_symmetric_in_populations():
     rng = random.Random(7)
     p = random_rational_vector(rng, 4)
