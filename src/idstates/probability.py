@@ -4,20 +4,9 @@ The first draw samples K objects with replacement using frequencies p,
 the second using q. The probability of an identity state sums the
 probabilities of every labeled pair in its equivalence class.
 
-Production path, state_distribution: one pass over the objects gives
-every state at once. Each object i becomes one column (a, b) of the pair,
-a of its K top items and b of its K bottom items, and contributes
-p_i^a q_i^b. The orderings of the two draws add multinomial factors,
-built up one object at a time: with `top` and `bottom` items already
-placed, the column (a, b) multiplies by C(top + a, a) * C(bottom + b, b).
-So the objects fold into a table keyed by the partial column-type matrix,
-as one integer code (_cell_bases), and the budgets used; at the end the
-nodes with both budgets at K are the state matrices M, with
-M_00 = I - (nonzero columns), and _merge_codes merges M and its
-transpose into one state.
-In exact mode p and q are integer numerators over their lcm denominators
-D_p and D_q, the fold runs on Python ints, and one division by
-D_p^K * D_q^K ends it. Float mode runs the same fold on floats.
+Production path, state_distribution: one pass over the objects (_fold)
+weighs every column-type matrix M, keyed by its code (_cell_bases), and
+_merge_codes merges M and its transpose into one state.
 
 Reference path, state_probability: the paper's closed form, one state at
 a time,
@@ -47,9 +36,8 @@ of each draw, which sums each pair of count vectors onto its canonical
 flattened matrix itself, sharing no code with the production merge, and
 a seeded Monte Carlo sampler, which counts the same matrix codes as
 state_distribution and ends with the same _merge_codes. The exhaustive
-walk is exact in float mode too: it reads each float as its exact binary
-value and rounds each state's sum once, so float results are checked
-against the true value of the float inputs.
+walk is exact in float mode too, so float results are checked against
+the true value of the float inputs.
 """
 
 from __future__ import annotations
@@ -350,11 +338,46 @@ def _merge_codes(
     return {StateMatrix(flat): merged[flat] for flat in sorted(merged)}
 
 
+def _fold(draw_size: int, rows, moves) -> dict[int, object]:
+    """Weight of every key a pair of size-K draws reaches, one object at a time.
+
+    Object i becomes one column (a, b) of the pair, a of the K top items and
+    b of the K bottom items, weighing u[a] * v[b] for its rows (u, v) in
+    `rows`. The orderings of the two draws add multinomial factors, built
+    up one object at a time: with `top` and `bottom` items already placed,
+    the column also multiplies by C(top + a, a) * C(bottom + b, b). A move
+    (a, b, step) places a column (a, b) != (0, 0) and adds step to the
+    node's integer key; a (0, 0) column leaves the node as it is. Each
+    layer, one per (top, bottom) budgets used, maps key to weight; returns
+    the layer at (K, K). Int rows give int weights; float rows give floats,
+    each factor multiplied as C * C * u[a] * v[b].
+    """
+    k = draw_size
+    binom = [[math.comb(n, r) for r in range(k + 1)] for n in range(k + 1)]
+    layers: dict[tuple[int, int], dict[int, object]] = {(0, 0): {0: 1}}
+    for u, v in rows:
+        # Visit layers fullest first: every move writes to a layer with a
+        # larger top + bottom, already read, so one object adds one column.
+        for top, bottom in sorted(layers, key=sum, reverse=True):
+            source = layers[top, bottom]
+            for a, b, step in moves:
+                if top + a > k or bottom + b > k:
+                    continue
+                factor = binom[top + a][a] * binom[bottom + b][b] * u[a] * v[b]
+                if not factor:
+                    continue
+                target = layers.setdefault((top + a, bottom + b), {})
+                for key, weight in source.items():
+                    key += step
+                    target[key] = target.get(key, 0) + weight * factor
+    return layers.get((k, k), {})
+
+
 def state_distribution(draw_size: int, p, q) -> dict[StateMatrix, object]:
     """Probability of every identity state in one pass over the objects.
 
-    Folds the objects in one at a time (module docstring). Returns the
-    states of nonzero probability, keyed by canonical matrix with
+    Folds the objects (_fold) with rows p_i^a and q_i^b. Returns the states
+    of nonzero probability, keyed by canonical matrix with
     M_00 = len(p) - (nonzero columns), sorted by flattened matrix. Exact,
     summing to exactly 1, when both vectors are exact; floats otherwise.
     """
@@ -365,50 +388,28 @@ def state_distribution(draw_size: int, p, q) -> dict[StateMatrix, object]:
     exact = p.exact
     if exact:
         (p, den_p), (q, den_q) = _numerators(p), _numerators(q)
-    binom = [[math.comb(n, r) for r in range(side)] for n in range(side)]
-    # A partial matrix is one int, its code (_cell_bases): no cell of a
-    # partial matrix exceeds the finished one's, so the digits fit. Move
-    # (a, b) adds one to the digit of cell a * side + b.
+    # a move (a, b) adds one to the code's digit of cell a * side + b; no
+    # partial count passes the finished matrix's, so the digits fit
     places = itertools.accumulate(_cell_bases(k, n_objects), operator.mul, initial=1)
     moves = [(*divmod(c, side), place)
              for c, place in zip(range(1, side * side), places)]
-    # (top, bottom) budgets used -> {partial matrix: weight}
-    layers: dict[tuple[int, int], dict[int, object]] = {(0, 0): {0: 1}}
-    for pi, qi in zip(p, q):
-        p_pow = [pi**a for a in range(side)]
-        q_pow = [qi**b for b in range(side)]
-        # Visit layers fullest first: every move writes to a layer with a
-        # larger top + bottom, already read, so one object adds one column.
-        for top, bottom in sorted(layers, key=sum, reverse=True):
-            source = layers[top, bottom]
-            for a, b, step in moves:
-                if top + a > k or bottom + b > k:
-                    continue
-                factor = (binom[top + a][a] * binom[bottom + b][b]
-                          * p_pow[a] * q_pow[b])
-                if not factor:
-                    continue
-                target = layers.setdefault((top + a, bottom + b), {})
-                for key, weight in source.items():
-                    key += step
-                    target[key] = target.get(key, 0) + weight * factor
-    merged = _merge_codes(layers.get((k, k), {}), k, n_objects)
+    rows = (([pi**a for a in range(side)], [qi**b for b in range(side)])
+            for pi, qi in zip(p, q))
+    merged = _merge_codes(_fold(k, rows, moves), k, n_objects)
     if not exact:
         return merged
     scale = den_p**k * den_q**k
     return {state: Fraction(weight, scale) for state, weight in merged.items()}
 
 
-def _code_words(bases: list[int], rows: int) -> list[tuple[np.ndarray, int, int]]:
-    """Split a mixed-radix code into int64 words, most significant first.
+def _code_words(bases: list[int]) -> list[tuple[np.ndarray, int, int]]:
+    """Split a matrix code (_cell_bases) into int64 words, most significant first.
 
-    Digit d (0 <= d < len(bases)) counts cell d + 1 of a flattened matrix
-    and stays below bases[d]; the code is the sum of digit d times
-    place(d), the product of the bases below d. Each word is (weight of
-    each cell within the word, the word's radix, place of its lowest
-    digit). The top word codes below 2^63. Every lower word is appended to
-    the index of a distinct code among at most `rows`, so its radix is at
-    most (2^63 - 1) // rows.
+    Each word is (weight of each cell within the word, the word's radix,
+    place of its lowest digit), a digit's place being the product of the
+    bases below it. The top word codes below 2^63. Every lower word is
+    appended to the index of a distinct code among at most SAMPLE_CHUNK
+    rows, so its radix is at most (2^63 - 1) // SAMPLE_CHUNK.
     """
     import numpy as np
 
@@ -422,7 +423,7 @@ def _code_words(bases: list[int], rows: int) -> list[tuple[np.ndarray, int, int]
         weights = np.zeros(len(bases) + 1, dtype=np.int64)
         weights[low + 1 : high + 1] = [places[d] // places[low] for d in range(low, high)]
         words.append((weights, places[high] // places[low], places[low]))
-        high, limit = low, (2**63 - 1) // rows
+        high, limit = low, (2**63 - 1) // SAMPLE_CHUNK
     return words
 
 
@@ -465,16 +466,14 @@ def monte_carlo_state_distribution(
 
     Each sample draws K objects from p and K from q (as multinomial count
     vectors via numpy's PCG64 generator). Object j of a sample is one
-    column (a, b) of its pair, coded as the matrix cell c = a * (K+1) + b,
-    so a sample's flattened matrix M is the histogram of its I cells. M
-    has the fold's code, sum over c != 0 of M_c * w_c, with the digit
-    bases of _cell_bases. A sample's code is the sum of its cells'
-    weights, with no sort; numpy counts each distinct code, and
-    _merge_codes decodes each once and adds its matrix to its state.
-    Above K = 6 the code passes 2^63 and spans several int64 words
-    (_code_words). Frequencies are exact counts over n_samples, so they
-    sum to exactly 1; states are sorted by flattened matrix. Reproducible
-    for a fixed (seed, numpy version).
+    column (a, b) of its pair, the matrix cell a * (K+1) + b, so the
+    sample's matrix M is the histogram of its I cells and its code
+    (_cell_bases) is the sum of its cells' weights, with no sort. numpy
+    counts each distinct code, and _merge_codes decodes each once and
+    adds its matrix to its state. Above K = 6 the code passes 2^63 and
+    spans several int64 words (_code_words). Frequencies are exact counts
+    over n_samples, so they sum to exactly 1; states are sorted by
+    flattened matrix. Reproducible for a fixed (seed, numpy version).
 
     The stream holds every p-draw before every q-draw. So the p block is
     drawn through _chunks and kept only as its chunks of cells a * (K+1),
@@ -496,7 +495,7 @@ def monte_carlo_state_distribution(
     pf, qf = pf / pf.sum(), qf / qf.sum()
     side = draw_size + 1
     cell = np.min_scalar_type(side * side - 1)
-    words = _code_words(_cell_bases(draw_size, n_objects), SAMPLE_CHUNK)
+    words = _code_words(_cell_bases(draw_size, n_objects))
     p_draws = _chunks(lambda m: rng.multinomial(draw_size, pf, size=m), n_samples)
     # the p-draws' counts a as cells a * side
     p_cells = [(drawn * side).astype(cell) for drawn in p_draws]

@@ -801,6 +801,65 @@ def test_state_distribution_beyond_closed_form_reach():
     assert set(dist) <= {s.canonical_matrix for s in enumerate_states(6, 12)}
 
 
+def overlap_distribution(k, p, q):
+    """{s: P(s)} for the overlap s = sum_i a_i b_i = K^2 (1 - D).
+
+    The fold of state_distribution with key step a * b instead of the
+    matrix code, on the integer numerators of exact p and q.
+    """
+    den_p = math.lcm(*(v.denominator for v in p))
+    den_q = math.lcm(*(v.denominator for v in q))
+    rows = [([int(pi * den_p) ** a for a in range(k + 1)],
+             [int(qi * den_q) ** b for b in range(k + 1)]) for pi, qi in zip(p, q)]
+    moves = [(a, b, a * b) for a in range(k + 1) for b in range(k + 1) if a or b]
+    scale = den_p**k * den_q**k
+    return {s: Fraction(w, scale)
+            for s, w in probability._fold(k, rows, moves).items()}
+
+
+def overlap_case(k, i):
+    """Random exact p != q over I objects, each with a zero in its own place
+    and two nonzero entries, with <p, q> > 0."""
+    rng = random.Random(100 * k + i)
+    while True:
+        p = random_rational_vector(rng, i, force_zeros=1)
+        q = random_rational_vector(rng, i, force_zeros=1)[::-1]
+        spread = all(sum(map(bool, v)) >= 2 for v in (p, q))
+        if p != q and spread and any(pi * qi for pi, qi in zip(p, q)):
+            return p, q
+
+
+OVERLAP_CASES = [(2, 3), (3, 4), (4, 5), (6, 7)]
+
+
+@pytest.mark.parametrize("k, i", OVERLAP_CASES)
+def test_overlap_fold_is_the_dissimilarity_marginal(k, i):
+    p, q = overlap_case(k, i)
+    dist = state_distribution(k, p, q)
+    marginal = {}
+    for state in enumerate_states(k, i):
+        if value := dist.get(state.canonical_matrix, 0):
+            s = k * k - state.dissimilarity.numerator  # over K^2, unreduced
+            marginal[s] = marginal.get(s, 0) + value
+    assert overlap_distribution(k, p, q) == marginal
+
+
+@pytest.mark.parametrize("k, i", OVERLAP_CASES + [(10, 20)])
+def test_overlap_fold_moments_are_exact(k, i):
+    # D = 1 - s / K^2 with s = sum_i a_i b_i for independent multinomial
+    # counts a ~ (K, p) and b ~ (K, q): E[D] = 1 - <p, q>, and Var[D]
+    # follows from E[a_i a_j] = K (K - 1) p_i p_j + [i = j] K p_i
+    p, q = overlap_case(k, i)
+    dist = {1 - Fraction(s, k * k): w for s, w in overlap_distribution(k, p, q).items()}
+    pq = sum(pi * qi for pi, qi in zip(p, q))
+    mixed = sum(pi * qi * (pi + qi) for pi, qi in zip(p, q))
+    mean = sum(d * w for d, w in dist.items())
+    assert sum(dist.values()) == 1
+    assert mean == 1 - pq
+    assert sum(d * d * w for d, w in dist.items()) - mean**2 == (
+        ((1 - 2 * k) * pq**2 + (k - 1) * mixed + pq) / k**2)
+
+
 @st.composite
 def rational_case(draw, max_objects=5):
     """(K, I, p, q) with K <= 3, I <= max_objects, zeros allowed, p = q at times."""
