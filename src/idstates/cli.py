@@ -28,8 +28,8 @@ with --mode.
 The parser built by build_parser is the one table of which command takes
 which flag and of every flag's default; handlers read the parsed
 namespace directly. A command takes a flag only if it reads it (in its
-handler, _validate or _frequencies), so any other flag is a usage error.
-A flag that only some requests read (--mode, expectation's --k,
+handler, config_from_args or _frequencies), so any other flag is a usage
+error. A flag that only some requests read (--mode, expectation's --k,
 oracle-check's --seed) defaults to None and is resolved where it is
 read; a request that does not read it rejects it when given. A flag
 given an empty value counts as given.
@@ -94,7 +94,7 @@ def _draw_size(k, force: bool) -> int:
     return k
 
 
-def _validate(args: argparse.Namespace) -> argparse.Namespace:
+def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     """Checks that neither the parser nor the library makes."""
     # expectation reads --k only in rational mode; its handler checks it
     if hasattr(args, "k") and args.command != "expectation":
@@ -117,13 +117,8 @@ def _validate(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-#: bench/harness.py's set-up probe imports the parse-and-validate step by
-#: this name.
-config_from_args = _validate
-
-
-def _frequencies(args: argparse.Namespace, default_uniform: bool = False):
-    """Resolve (p, q) from the arguments, or None when absent and no default asked.
+def _frequencies(args: argparse.Namespace):
+    """Resolve (p, q) from the arguments, or None when neither --freq nor --p.
 
     --mode defaults to auto, decided once over the p and q values
     together. Commands that take --i need frequencies over exactly that
@@ -135,8 +130,6 @@ def _frequencies(args: argparse.Namespace, default_uniform: bool = False):
     elif args.p is not None:
         q_tokens = None if args.q is None else args.q.split(",")
         p, q = parse_frequency_values(args.p.split(","), q_tokens, mode)
-    elif default_uniform:
-        p = q = FrequencyVector.uniform(args.i, exact=mode != "float")
     else:
         return None
     if hasattr(args, "i") and len(p) != args.i:
@@ -255,7 +248,9 @@ def cmd_oracle_check(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[str, int]:
-    p, q = _frequencies(args, default_uniform=True)
+    # uniform p = q by default, rational unless --mode float
+    p, q = _frequencies(args) or (
+        FrequencyVector.uniform(args.i, exact=args.mode != "float"),) * 2
     states = enumerate_states(args.k, args.i)
     dist = state_distribution(args.k, p, q)
     empirical = monte_carlo_state_distribution(
@@ -382,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _validate(build_parser().parse_args(argv))
+        args = config_from_args(build_parser().parse_args(argv))
         output, code = args.handler(args)
         if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -32,7 +32,6 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import compress
 from math import factorial, isqrt
-from operator import mul
 
 from .core import DissimilarityValue, DrawVector, PairMatrix, Value
 
@@ -58,7 +57,7 @@ class StateMatrix(Value):
             raise ValueError("state matrix entries must be nonnegative")
         k = side - 1
         # the weighted sums from the row sums and the column sums
-        top = sum(map(mul, range(side), _row_sums(flat, side)))
+        top = sum(r * sum(flat[r * side : (r + 1) * side]) for r in range(side))
         bottom = sum(c * sum(flat[c::side]) for c in range(side))
         if top != k or bottom != k:
             raise ValueError(
@@ -194,10 +193,6 @@ def _transpose_flat(flat: tuple[int, ...], side: int) -> tuple[int, ...]:
 
 def _canonical_flat(flat: tuple[int, ...], side: int) -> tuple[int, ...]:
     return min(flat, _transpose_flat(flat, side))
-
-
-def _row_sums(flat: tuple[int, ...], side: int) -> list[int]:
-    return [sum(flat[r * side : (r + 1) * side]) for r in range(side)]
 
 
 @lru_cache(maxsize=None)

@@ -137,9 +137,7 @@ class FrequencyVector(Value):
     def uniform(cls, n_objects: int, exact: bool = True) -> "FrequencyVector":
         if n_objects < 1:
             raise ValueError("need at least one object")
-        if exact:
-            return cls((Fraction(1, n_objects),) * n_objects, True)
-        return cls((1.0 / n_objects,) * n_objects, False)
+        return cls((Fraction(1, n_objects),) * n_objects, exact)
 
     def __len__(self):
         return len(self.entries)
@@ -227,8 +225,6 @@ def state_probability(state: IdentityState, p, q) -> StateProbability:
     form, kept as the reference for state_distribution.
     """
     p, q = _frequency_pair(p, q)
-    if state.n_distinct > len(p):
-        return StateProbability(Fraction(0) if p.exact else 0.0)
     exp1 = state.representative.row1.counts[: state.n_distinct]
     exp2 = state.representative.row2.counts[: state.n_distinct]
     k = state.representative.draw_size
@@ -416,7 +412,7 @@ def _code_words(bases: list[int]) -> list[tuple[np.ndarray, int, int]]:
     places = list(itertools.accumulate(bases, operator.mul, initial=1))
     words = []
     high, limit = len(bases), 2**63
-    while high or not words:
+    while high:
         low = high
         while low and places[high] // places[low - 1] <= limit:
             low -= 1

@@ -27,8 +27,6 @@ Auto mode is decided once over both columns.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import re
 from fractions import Fraction
@@ -178,7 +176,8 @@ _JSON = json.JSONEncoder(check_circular=False)
 def _write(fmt: str, records, table, csv_rows=None) -> str:
     """The one dispatch on the output form. table() and records() are called
     only for the forms that use them; csv is the records' cells (true/false)
-    under their keys, or csv_rows when given."""
+    under their keys, or csv_rows when given, each row its cells joined by
+    commas. No cell holds a comma, quote or newline, so none is quoted."""
     if fmt == "table":
         return table()
     if fmt == "records":
@@ -189,9 +188,7 @@ def _write(fmt: str, records, table, csv_rows=None) -> str:
         recs = records()
         csv_rows = [list(recs[0]),
                     *([_cell(v, _TRUE_FALSE) for v in rec.values()] for rec in recs)]
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(csv_rows)
-    return buf.getvalue()
+    return "".join(",".join(row) + "\n" for row in csv_rows)
 
 
 def _state_fields(table: StateTable, idx: int) -> dict[str, object]:
@@ -307,12 +304,10 @@ def parse_frequency_file(
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     lines = [ln for ln in lines if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: no data rows")
-    delim = "\t" if "\t" in lines[0] else ","
+    delim = "\t" if lines and "\t" in lines[0] else ","
     rows = [ln.split(delim) for ln in lines]
     # optional header object_id,p[,q]: any other first row is data
-    if len(rows[0]) >= 2 and rows[0][1].strip() == "p":
+    if rows and len(rows[0]) >= 2 and rows[0][1].strip() == "p":
         rows = rows[1:]
     if not rows:
         raise ValueError(f"{path}: no data rows")

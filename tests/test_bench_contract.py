@@ -97,7 +97,7 @@ def test_every_benchmark_request_parses(tmp_path):
     argvs.append(["oracle-check", "--k", "2", "--i", "3", "--p", "1/2,1/4,1/4",
                   "--perturb", "0"])
     for argv in argvs:
-        cli._validate(cli.build_parser().parse_args(argv))
+        cli.config_from_args(cli.build_parser().parse_args(argv))
 
 
 def test_attributes_the_benchmark_reads(capsys):

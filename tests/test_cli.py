@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -288,7 +289,8 @@ def test_missing_frequency_file(capsys, tmp_path):
 def test_bad_frequency_file(capsys, tmp_path):
     path = tmp_path / "f.csv"
     for text, message in (("A,0.8\nB,0.1\n", "sum to 0.9"),
-                          ("", "no data rows"), ("\n \n\t\n", "no data rows")):
+                          ("", "no data rows"), ("\n \n\t\n", "no data rows"),
+                          ("object_id,p,q\n", "no data rows")):
         path.write_text(text)
         result = run_cli(capsys, "expectation", "--freq", str(path))
         assert_one_error_line(*result)
@@ -431,6 +433,21 @@ def test_golden_output_digests(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_csv_lines_split_at_their_commas(capsys):
+    """No csv cell the CLI writes needs quoting: csv.reader reads each csv
+    output as the rows that splitting its lines at their commas gives, and
+    every row is as wide as the header."""
+    requests = [argv for name, argv, _ in GOLDEN_OUTPUTS if name.endswith("-csv")]
+    requests.append(["prevalence", "--i", "4", "--samples", "200", "--format", "csv"])
+    assert {argv[0] for argv in requests} == {
+        "enumerate", "probabilities", "count-table", "expectation", "prevalence"}
+    for argv in requests:
+        code, out, _ = run_cli(capsys, *argv)
+        rows = [line.split(",") for line in out.splitlines()]
+        assert code == 0 and list(csv.reader(io.StringIO(out))) == rows, argv
+        assert {len(row) for row in rows} == {len(rows[0])}, argv
 
 
 # Seeded simulate and prevalence stdout, pinned for the numpy release the
@@ -764,7 +781,7 @@ def test_readme_flag_table_matches_parser():
 
 def test_readme_cli_examples_parse():
     """Every `idstates ...` line of README's CLI example block is a request
-    the parser and _validate accept."""
+    the parser and config_from_args accept."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI", 1)[1].split("```")[1]
     examples = [shlex.split(line, comments=True)[1:]
@@ -772,7 +789,7 @@ def test_readme_cli_examples_parse():
     assert len(examples) >= 8
     assert {argv[0] for argv in examples} == set(parser_options())
     for argv in examples:
-        cli._validate(cli.build_parser().parse_args(argv))
+        cli.config_from_args(cli.build_parser().parse_args(argv))
 
 
 def test_help_exits_zero(capsys):

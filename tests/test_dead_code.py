@@ -20,8 +20,6 @@ PACKAGE = ROOT / "src" / "idstates"
 BENCH_ONLY = {
     # item 7, after item 6: the tracer wraps expectation.state_probability
     ("expectation", "state_probability"),
-    # item 7, after item 2: bench/harness.py's set-up probe imports it
-    ("cli", "config_from_args"),
     # item 7: bench/workloads.py parses state tables with these
     ("serialize", "parse_state_records"),
     ("serialize", "parse_state_csv"),

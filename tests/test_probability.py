@@ -4,6 +4,7 @@ import inspect
 import itertools
 import math
 import random
+import struct
 import time
 import tracemalloc
 import typing
@@ -287,7 +288,10 @@ def test_state_probability_empty_support_is_zero():
             assert s.canonical_matrix not in dist
     # shorter frequency vectors than the catalog's object count: empty sum
     four = find_state(states, (1, 1, 0, 0), (0, 0, 1, 1))
-    assert state_probability(four, (HALF, HALF), (HALF, HALF)).value == 0
+    exact = state_probability(four, (HALF, HALF), (HALF, HALF)).value
+    assert type(exact) is Fraction and exact == 0
+    floats = state_probability(four, (0.5, 0.5), (0.5, 0.5)).value
+    assert type(floats) is float and floats == 0.0
 
 
 def test_state_probability_joint_support_bound():
@@ -377,6 +381,44 @@ def test_float_fold_bits_are_pinned():
     for k, pinned in FLOAT_FOLD_HEX.items():
         got = [v.hex() for v in state_distribution(k, FLOAT_P, FLOAT_Q).values()]
         assert got == pinned
+
+
+def _ulps(a: float, b: float) -> int:
+    """Distance of two nonnegative floats in units in the last place: the
+    difference of their IEEE bit patterns."""
+    return abs(struct.unpack("<q", struct.pack("<d", a))[0]
+               - struct.unpack("<q", struct.pack("<d", b))[0])
+
+
+def _random_float_case(rng):
+    """(K, I, p, q) with K <= 4, I <= 6 and random float entries, zeros allowed."""
+    k, i = rng.randint(1, 4), rng.randint(1, 6)
+
+    def vector():
+        while True:
+            weights = [0.0 if rng.random() < 0.25 else rng.random() for _ in range(i)]
+            if any(weights):
+                return [w / sum(weights) for w in weights]
+
+    return k, i, vector(), vector()
+
+
+def test_float_paths_near_the_correctly_rounded_oracle():
+    """The exhaustive oracle gives each state's correctly rounded float. The
+    fold stays within 4 ulp of it (measured: 2 at K=3, 3 at K=4, 4 on the
+    random cases) and the closed form within 1e-12 relative (measured: 145
+    ulp at K=3, 1,428 ulp or 1.7e-13 at K=4, 14 ulp on the random cases)."""
+    rng = random.Random(0)
+    cases = [(3, 8, FLOAT_P, FLOAT_Q), (4, 8, FLOAT_P, FLOAT_Q)]
+    cases += [_random_float_case(rng) for _ in range(60)]
+    for k, i, p, q in cases:
+        oracle = brute_force_state_distribution(k, i, p, q)
+        fold = state_distribution(k, p, q)
+        for s in enumerate_states(k, i):
+            want = oracle.get(s.canonical_matrix, 0.0)
+            assert _ulps(fold.get(s.canonical_matrix, 0.0), want) <= 4, (k, p, q)
+            closed = state_probability(s, p, q).value
+            assert abs(closed - want) <= 1e-12 * want, (k, p, q)
 
 
 def test_state_probability_symmetric_in_populations():
