@@ -71,7 +71,11 @@ ROUNDING_SLACK = 1e-12
 
 #: Rows a sampler draws and reduces at a time. Consecutive numpy draws
 #: continue one stream, so this bounds memory without changing results.
-SAMPLE_CHUNK = 16384
+#: Every per-chunk array scales with it: at 4096 rows one chunk of 10
+#: float64 Gamma draws is 0.33 MB, well under the interpreter's own
+#: resident memory, while numpy's per-call cost stays a few ms per 10^6
+#: rows.
+SAMPLE_CHUNK = 4096
 
 
 def _chunks(draw, n_rows: int):
@@ -455,6 +459,45 @@ def _count_codes(cells: np.ndarray, words) -> dict[int, int]:
             for f, c, n in zip(full, code.tolist(), counts.tolist())}
 
 
+def _packed_counts(draw_size: int, n_objects: int):
+    """(pack, cells) for the Monte Carlo sampler's held p block.
+
+    pack(counts) packs each row of n_objects counts 0..K. Each count takes
+    the smallest of 1, 2, 4 or 8 bits that holds K, so per = 8, 4, 2 or 1
+    counts share a byte, lowest bits first, and the last byte of a row is
+    zero-padded; past K = 255 each count takes one item of the smallest
+    unsigned type that holds K. cells(packed) gives the rows' cells
+    a * (K+1) with one lookup per item: a table maps every item value to
+    the per cells of its counts, held as one unsigned integer.
+    """
+    import numpy as np
+
+    item = np.min_scalar_type(draw_size)
+    per = next((n for n in (8, 4, 2) if draw_size < 1 << (8 // n)), 1)
+    bits = 8 * item.itemsize // per
+    width = -(-n_objects // per) * per
+
+    def pack(counts: np.ndarray) -> np.ndarray:
+        padded = np.zeros((len(counts), width), dtype=item)
+        padded[:, :n_objects] = counts
+        packed = padded[:, ::per].copy()
+        for j in range(1, per):
+            packed |= padded[:, j::per] << bits * j
+        return packed
+
+    shifts = bits * np.arange(per)
+    # the largest item holds K in every slot
+    values = np.arange((draw_size << shifts).sum() + 1)
+    cell = np.min_scalar_type(draw_size * (draw_size + 1))
+    table = ((values[:, None] >> shifts) & (1 << bits) - 1) * (draw_size + 1)
+    table = table.astype(cell).view(f"u{per * cell.itemsize}")[:, 0]
+
+    def cells(packed: np.ndarray) -> np.ndarray:
+        return table[packed].view(cell)[:, :n_objects]
+
+    return pack, cells
+
+
 def monte_carlo_state_distribution(
     draw_size: int, p, q, n_samples: int, seed: int
 ) -> dict[StateMatrix, Fraction]:
@@ -472,11 +515,15 @@ def monte_carlo_state_distribution(
     flattened matrix. Reproducible for a fixed (seed, numpy version).
 
     The stream holds every p-draw before every q-draw. So the p block is
-    drawn through _chunks and kept only as its chunks of cells a * (K+1),
-    one byte per object up to K = 15; then the q chunks are drawn through
-    _chunks in step with them and each is classified at once. Memory is
-    n_samples * n_objects cells plus O(SAMPLE_CHUNK), and the result is
-    the one that drawing both blocks whole gives.
+    drawn through _chunks and kept only as its chunks of counts a, packed
+    several to a byte (_packed_counts); then the q chunks are drawn
+    through _chunks in step with them, and each is classified at once
+    with the cells a * (K+1) + b of its unpacked p chunk. A sample holds
+    ceil(I / c) bytes, with c = 8, 4, 2 or 1 counts a byte at K = 1,
+    K <= 3, K <= 15 and K <= 255, and I items of a wider type past
+    K = 255: 2 bytes at K=3 I=6 and 8 at K=8 I=16. Memory is that times
+    n_samples plus O(SAMPLE_CHUNK), and the result is the one that drawing
+    both blocks whole gives.
     """
     import numpy as np
 
@@ -489,18 +536,16 @@ def monte_carlo_state_distribution(
     pf = np.asarray([float(v) for v in p])
     qf = np.asarray([float(v) for v in q])
     pf, qf = pf / pf.sum(), qf / qf.sum()
-    side = draw_size + 1
-    cell = np.min_scalar_type(side * side - 1)
     words = _code_words(_cell_bases(draw_size, n_objects))
+    pack, p_cells = _packed_counts(draw_size, n_objects)
     p_draws = _chunks(lambda m: rng.multinomial(draw_size, pf, size=m), n_samples)
-    # the p-draws' counts a as cells a * side
-    p_cells = [(drawn * side).astype(cell) for drawn in p_draws]
+    p_block = [pack(drawn) for drawn in p_draws]
     q_draws = _chunks(lambda m: rng.multinomial(draw_size, qf, size=m), n_samples)
     # matrix code -> samples
     totals: dict[int, int] = {}
-    for p_chunk, cells in zip(p_cells, q_draws):
-        # cells a * side + b
-        cells += p_chunk
+    for packed, cells in zip(p_block, q_draws):
+        # cells a * (K+1) + b
+        cells += p_cells(packed)
         for code, count in _count_codes(cells, words).items():
             totals[code] = totals.get(code, 0) + count
     return {

@@ -662,11 +662,14 @@ def test_monte_carlo_matches_unique_rows_reference():
 def test_monte_carlo_matches_reference_many_pairs():
     # many distinct pairs (K=4, I=8), fewer objects than 2K, one object,
     # and zeros on both sides; at K=7 and 8 the matrix codes span two
-    # int64 words, also with fewer objects than K, and at K=10 three
+    # int64 words, also with fewer objects than K, and at K=10 three. The
+    # held p counts take 1 bit at K=1, 2 at K=3, 4 at K=4 and 15, and a
+    # byte at K=16 and 17; I=9, 5 and 3 leave the last byte partly used
     rng = random.Random(62)
     for k, i, n_samples in [(4, 8, 2000), (3, 2, 500), (1, 1, 50), (5, 3, 800),
                             (7, 14, 1500), (7, 5, 600), (8, 16, 1500), (8, 6, 600),
-                            (10, 20, 1500)]:
+                            (10, 20, 1500), (1, 9, 500), (3, 5, 500), (4, 3, 500),
+                            (15, 2, 300), (16, 2, 300), (17, 3, 300)]:
         p = random_rational_vector(rng, i, force_zeros=i // 3)
         q = random_rational_vector(rng, i, force_zeros=i // 2)
         for seed in (1, 77):
@@ -689,17 +692,19 @@ def test_monte_carlo_same_at_every_chunk_size(monkeypatch, offset):
             assert list(got) == sorted(got, key=lambda m: m.flattened)
 
 
-def test_monte_carlo_memory_is_one_byte_per_object_plus_a_chunk():
-    # 97 MB (10^6 bytes) at 10^6 samples when every draw was held as int64
-    n_samples, n_objects = 10**6, 6
-    u = FrequencyVector.uniform(n_objects)
+def test_monte_carlo_memory_is_the_packed_block_plus_a_chunk():
+    # 97 MB at 10^6 samples when every draw was held as int64, 7.6 MB at
+    # one byte per object; six 2-bit counts pack into 2 bytes a sample
+    n_samples = 10**6
+    u = FrequencyVector.uniform(6)
+    monte_carlo_state_distribution(3, u, u, 10, 1)  # first calls stay untraced
     tracemalloc.start()
     try:
         monte_carlo_state_distribution(3, u, u, n_samples, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= n_samples * n_objects + 24 * 10**6
+    assert peak <= n_samples * 2 + 1.5 * 10**6
 
 
 def test_monte_carlo_many_pairs_within_time():
