@@ -1,10 +1,22 @@
+"""Entry point of `python -m idstates` and of the idstates console script."""
+
 import gc
 import sys
 
 from .cli import main
 
-code = main()
-# Exit without the cyclic collector walking every object at teardown;
-# sys.exit still runs atexit handlers and flushes the streams.
-gc.freeze()
-sys.exit(code)
+
+def run():
+    """Run one request and exit with its code.
+
+    The cyclic collector is frozen before exit, so interpreter teardown
+    does not walk every object; sys.exit still runs atexit handlers and
+    flushes the streams.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
+if __name__ == "__main__":
+    run()

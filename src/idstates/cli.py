@@ -43,19 +43,6 @@ import sys
 from fractions import Fraction
 
 from .enumeration import enumerate_states, state_count
-from .expectation import (
-    comparison_report,
-    expected_dissimilarity_via_states,
-    prevalence_experiment,
-)
-from .probability import (
-    ROUNDING_SLACK,
-    FrequencyVector,
-    brute_force_state_distribution,
-    monte_carlo_state_distribution,
-    state_distribution,
-    state_probability,
-)
 from .serialize import (
     StateTable,
     format_exact,
@@ -66,6 +53,43 @@ from .serialize import (
     write_fields,
     write_state_table,
 )
+
+#: Names the handlers read from modules that only some commands run, and
+#: each name's home module. A handler binds them with _bind before use, so
+#: count-table and enumerate never load probability or expectation.
+_LAZY = {
+    "ROUNDING_SLACK": "probability",
+    "FrequencyVector": "probability",
+    "brute_force_state_distribution": "probability",
+    "monte_carlo_state_distribution": "probability",
+    "state_distribution": "probability",
+    "state_probability": "probability",
+    "comparison_report": "expectation",
+    "expected_dissimilarity_via_states": "expectation",
+    "prevalence_experiment": "expectation",
+}
+
+
+def _bind(module: str) -> None:
+    """Import the _LAZY names that live in module into this namespace.
+
+    A name already bound is kept, so one set from outside (a test's patch,
+    a tracer's wrapper) wins. __import__, unlike importlib.import_module,
+    shows in -X importtime.
+    """
+    names = [name for name, where in _LAZY.items() if where == module]
+    home = __import__(f"{__package__}.{module}", fromlist=names)
+    for name in names:
+        globals().setdefault(name, getattr(home, name))
+
+
+def __getattr__(name: str):
+    """A _LAZY name read from outside before any handler bound it."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_LAZY[name])
+    return globals()[name]
+
 
 #: Largest draw size accepted without --force.
 DRAW_SIZE_GUARD = 8
@@ -154,6 +178,7 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_probabilities(args: argparse.Namespace) -> tuple[str, int]:
+    _bind("probability")
     p, q = _frequencies(args)
     states = enumerate_states(args.k, args.i)
     dist = state_distribution(args.k, p, q)
@@ -169,6 +194,7 @@ def cmd_count_table(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_expectation(args: argparse.Namespace) -> tuple[str, int]:
+    _bind("expectation")
     p, q = _frequencies(args)
     exact = p.exact
     if not exact and (args.k is not None or args.force):
@@ -186,6 +212,7 @@ def cmd_expectation(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> tuple[str, int]:
+    _bind("probability")
     freqs = _frequencies(args)
     if freqs is None:
         import random
@@ -248,6 +275,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[str, int]:
+    _bind("probability")
     # uniform p = q by default, rational unless --mode float
     p, q = _frequencies(args) or (
         FrequencyVector.uniform(args.i, exact=args.mode != "float"),) * 2
@@ -275,6 +303,7 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_prevalence(args: argparse.Namespace) -> tuple[str, int]:
+    _bind("expectation")
     fraction = prevalence_experiment(
         args.i, args.samples, args.seed, concentration=args.concentration
     )

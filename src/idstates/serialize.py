@@ -27,15 +27,19 @@ Auto mode is decided once over both columns.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from itertools import zip_longest
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
 from .core import DissimilarityValue, Value
 from .enumeration import IdentityState, StateMatrix
-from .probability import FrequencyVector
+
+# json and probability are imported by the functions that use them, so a
+# request that writes neither records nor reads frequencies loads neither
+if TYPE_CHECKING:
+    from .probability import FrequencyVector
 
 
 def format_exact(x) -> str:
@@ -169,10 +173,6 @@ def _align(rows, right: bool = False) -> list[str]:
             for row in rows]
 
 
-# json.dumps's encoder without its reference-cycle check: records are flat.
-_JSON = json.JSONEncoder(check_circular=False)
-
-
 def _write(fmt: str, records, table, csv_rows=None) -> str:
     """The one dispatch on the output form. table() and records() are called
     only for the forms that use them; csv is the records' cells (true/false)
@@ -181,7 +181,11 @@ def _write(fmt: str, records, table, csv_rows=None) -> str:
     if fmt == "table":
         return table()
     if fmt == "records":
-        return "\n".join(map(_JSON.encode, records())) + "\n"
+        import json
+
+        # json.dumps's encoder without its reference-cycle check: records are flat
+        encode = json.JSONEncoder(check_circular=False).encode
+        return "\n".join(map(encode, records())) + "\n"
     if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}")
     if csv_rows is None:
@@ -246,6 +250,8 @@ def _parse_state_table(text: str, fmt: str) -> StateTable:
     lines = text.splitlines()
     try:
         if fmt == "records":
+            import json
+
             records = [json.loads(line) for line in lines]
         else:
             header, *rows = [line.split(",") for line in lines] or [[]]
@@ -284,6 +290,8 @@ def parse_frequency_values(p_tokens, q_tokens=None, mode: str = "auto"):
     columns: "float" when any token is a decimal, that is, holds ".", "e"
     or "E" (Fraction's only decimal markers), and "rational" otherwise.
     """
+    from .probability import FrequencyVector
+
     if mode == "auto":
         tokens = [*p_tokens, *(q_tokens or ())]
         exact = not any(marker in t for t in tokens for marker in ".eE")

@@ -11,6 +11,9 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -58,6 +61,59 @@ def test_every_layer_call_resolves_to_a_callable():
     assert calls
     for module, attr, *_ in calls:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+# argv: bench/, a frequency file; wraps every LAYER_CALLS name the way the
+# tracer does, before any request, then runs requests that reach each one
+# and prints the (module, name) pairs whose wrapper was called
+WRAP_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import trace_child
+
+called = set()
+
+def wrapped(module, attr):
+    fn = getattr(module, attr)
+    def wrapper(*args, **kwargs):
+        called.add((module.__name__, attr))
+        return fn(*args, **kwargs)
+    return wrapper
+
+for module, attr, *_ in trace_child.LAYER_CALLS:
+    setattr(module, attr, wrapped(module, attr))
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in [
+        ["count-table", "--k", "2"],
+        ["enumerate", "--k", "2", "--i", "2"],
+        ["probabilities", "--k", "2", "--i", "2", "--p", "1/2,1/2"],
+        ["probabilities", "--k", "2", "--i", "2", "--freq", sys.argv[2]],
+        ["expectation", "--p", "1/2,1/2", "--q", "1/4,3/4"],
+        ["oracle-check", "--k", "2", "--i", "2"],
+        ["simulate", "--k", "2", "--i", "2", "--samples", "10"],
+        ["prevalence", "--i", "2", "--samples", "10"],
+    ]:
+        assert trace_child.cli.main(argv) == 0, argv
+print(json.dumps(sorted(called)))
+"""
+
+
+def test_tracer_wrappers_survive_lazy_binding(tmp_path):
+    freq = tmp_path / "freq.csv"
+    freq.write_text("object_id,p\na,1/2\nb,1/2\n", encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", WRAP_PROBE, str(BENCH), str(freq)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    called = {tuple(pair) for pair in json.loads(proc.stdout)}
+    wrapped = {(module.__name__, attr)
+               for module, attr, *_ in _load("trace_child").LAYER_CALLS}
+    # expectation keeps its state_probability import for the tracer alone;
+    # nothing calls it there
+    assert called == wrapped - {("idstates.expectation", "state_probability")}
 
 
 #: Parameters the tracer's counters and span names read from bound arguments.

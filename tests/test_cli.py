@@ -502,47 +502,89 @@ def test_sampling_output_digests(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-NUMPY_PROBE = """
+#: Modules that only some requests run: the package's probability and
+#: expectation layers, json (records) and numpy (sampling), and dataclasses,
+#: which no request loads.
+WATCHED = ("dataclasses", "idstates.expectation", "idstates.probability", "json",
+           "numpy")
+
+# argv: the request; prints the package's submodules after `import idstates`,
+# then the request's exit code and the WATCHED modules loaded after it
+LOAD_PROBE = f"""
 import contextlib, io, sys
 import idstates
+print(*sorted(m for m in sys.modules if m.startswith("idstates.")), sep=",")
 from idstates import cli
-
-def loaded_after(argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv)
-    print(argv[0], code, "numpy" in sys.modules, "dataclasses" in sys.modules)
-
-print("import", 0, "numpy" in sys.modules, "dataclasses" in sys.modules)
-for argv in [
-    ["count-table", "--k", "3"],
-    ["enumerate", "--k", "2", "--i", "4"],
-    ["enumerate", "--k", "2", "--i", "4", "--format", "records"],
-    ["enumerate", "--k", "2", "--i", "4", "--format", "csv"],
-    ["probabilities", "--k", "2", "--i", "3", "--p", "1/2,1/4,1/4"],
-    ["probabilities", "--k", "2", "--i", "3", "--p", "0.5,0.25,0.25"],
-    ["expectation", "--p", "1/2,1/2", "--q", "1/4,3/4"],
-    ["oracle-check", "--k", "2", "--i", "3"],
-    ["simulate", "--k", "2", "--i", "3", "--samples", "100"],
-]:
-    loaded_after(argv)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(set({WATCHED!r}) & sys.modules.keys()), sep=",")
 """
+
+#: Each command with the WATCHED modules it loads.
+LOADS = [
+    (["count-table", "--k", "3"], []),
+    (["enumerate", "--k", "2", "--i", "4"], []),
+    (["enumerate", "--k", "2", "--i", "4", "--format", "csv"], []),
+    (["enumerate", "--k", "2", "--i", "4", "--format", "records"], ["json"]),
+    (["probabilities", "--k", "2", "--i", "3", "--p", "1/2,1/4,1/4"],
+     ["idstates.probability"]),
+    (["probabilities", "--k", "2", "--i", "3", "--p", "0.5,0.25,0.25"],
+     ["idstates.probability"]),
+    (["oracle-check", "--k", "2", "--i", "3"], ["idstates.probability"]),
+    (["simulate", "--k", "2", "--i", "3", "--samples", "100"],
+     ["idstates.probability", "numpy"]),
+    (["expectation", "--p", "1/2,1/2", "--q", "1/4,3/4"],
+     ["idstates.expectation", "idstates.probability"]),
+    (["prevalence", "--i", "3", "--samples", "100"],
+     ["idstates.expectation", "idstates.probability", "numpy"]),
+]
 
 
 def test_only_sampling_loads_numpy():
-    # and no command loads dataclasses, whose import costs every request
-    # a fresh interpreter: this one already has numpy loaded
+    # and each command loads only the modules it runs: one fresh interpreter
+    # a request, since this one has them all loaded already
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for argv, loads in LOADS:
+        proc = subprocess.run(
+            [sys.executable, "-c", LOAD_PROBE, *argv], capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        after_import, after_request = proc.stdout.splitlines()
+        # import idstates loads no submodule
+        assert after_import == "", argv
+        assert after_request.split(",") == ["0", *loads], argv
+
+
+# the probabilities column comes from whatever cli.state_distribution is
+# when the request runs, even when it was set before the module bound it
+PATCH_PROBE = """
+import contextlib, io, sys
+from fractions import Fraction
+from idstates import cli, enumerate_states
+
+def fake(draw_size, p, q):
+    return {s.canonical_matrix: Fraction(1, 7)
+            for s in enumerate_states(draw_size, len(p))}
+
+cli.state_distribution = fake
+assert "idstates.probability" not in sys.modules
+cli.main(["probabilities", "--k", "2", "--i", "3", "--p", "1/2,1/4,1/4",
+          "--format", "csv"])
+"""
+
+
+def test_patch_set_before_the_first_request_is_kept():
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE], capture_output=True, text=True,
+        [sys.executable, "-c", PATCH_PROBE], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=src), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    lines = [line.split() for line in proc.stdout.splitlines()]
-    assert len(lines) == 10
-    for command, code, numpy_loaded, dataclasses_loaded in lines:
-        assert code == "0", command
-        assert numpy_loaded == str(command == "simulate"), command
-        assert dataclasses_loaded == "False", command
+    header, *rows = proc.stdout.splitlines()
+    column = header.split(",").index("probability")
+    assert len(rows) == 6
+    assert {row.split(",")[column] for row in rows} == {"1/7"}
 
 
 # One request per command, with inputs at the edges of the float range; a

@@ -3,10 +3,11 @@ name is referenced from src/, and every class member is read somewhere.
 
 Read with the standard library's ast alone. A module-level name counts as
 referenced when some module loads it by name (outside its own definition)
-or imports it with `from .module import name`; a module's `__all__`
-counts as a use of the names it lists. A class member (a method, property
-or class attribute that is not a dunder) counts as read when some file
-under src/, tests/ or bench/ reads an attribute of its name.
+or imports it with `from .module import name`; a module's `_LAZY` table
+({name: home module}, whose names the module imports on first use) counts
+as importing each name from its home module. A class member (a method,
+property or class attribute that is not a dunder) counts as read when
+some file under src/, tests/ or bench/ reads an attribute of its name.
 """
 
 import ast
@@ -24,7 +25,8 @@ BENCH_ONLY = {
     ("serialize", "parse_state_records"),
     ("serialize", "parse_state_csv"),
 }
-ALWAYS_ALLOWED = {"__version__", "__all__"}
+# the interpreter calls a module's __getattr__ and __dir__ (PEP 562)
+ALWAYS_ALLOWED = {"__version__", "__all__", "__getattr__", "__dir__"}
 
 
 def _modules():
@@ -32,12 +34,13 @@ def _modules():
             for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def _all_names(tree):
+def _lazy(tree):
+    """A module's _LAZY table: {name: home module}."""
     for node in tree.body:
         if (isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
-            return set(ast.literal_eval(node.value))
-    return set()
+                and any(getattr(t, "id", None) == "_LAZY" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return {}
 
 
 def _loads(node):
@@ -103,7 +106,7 @@ def _unread_members(modules, readers):
 def _unused_imports(modules):
     unused = []
     for name, tree in modules.items():
-        used = _loads(tree) | _all_names(tree)
+        used = _loads(tree)
         unused += [(name, bound) for bound in _imported(tree) if bound not in used]
     return unused
 
@@ -114,14 +117,15 @@ def _unreferenced(modules):
                      for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom) and node.level == 1
                      for alias in node.names}
+    imported_from |= {(module, name) for tree in modules.values()
+                      for name, module in _lazy(tree).items()}
     unreferenced = []
     for module, tree in modules.items():
         loads = [(statement, _loads(statement)) for statement in tree.body]
-        listed = _all_names(tree)
         for name, statement in _defined(tree):
             # a use inside the name's own definition does not count
             used = any(name in names for other, names in loads if other is not statement)
-            if not (used or (module, name) in imported_from or name in listed):
+            if not (used or (module, name) in imported_from):
                 unreferenced.append((module, name))
     return unreferenced
 

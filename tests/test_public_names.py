@@ -5,8 +5,9 @@ PUBLIC_NAMES, in the same way test_each_command_takes_only_the_flags_it_reads
 pins the CLI's options.
 """
 
-import ast
-from pathlib import Path
+import importlib
+
+import pytest
 
 import idstates
 
@@ -40,10 +41,25 @@ PUBLIC_NAMES = {
 def test_public_names_are_pinned():
     assert len(PUBLIC_NAMES) == 23
     assert sorted(idstates.__all__) == sorted(PUBLIC_NAMES)
-    # every name __init__.py imports is exported, and every export imported
-    tree = ast.parse(Path(idstates.__file__).read_text(encoding="utf-8"))
-    imported = {alias.asname or alias.name
-                for node in tree.body if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
-    assert imported == PUBLIC_NAMES
+    # the lazy table, which __getattr__ imports from, is the export list
+    assert set(idstates._LAZY) == PUBLIC_NAMES
     assert all(hasattr(idstates, name) for name in PUBLIC_NAMES)
+
+
+def test_star_import_and_dir_list_the_public_names():
+    namespace = {}
+    exec("from idstates import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
+    assert PUBLIC_NAMES <= set(dir(idstates))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        idstates.no_such_name
+    assert not hasattr(idstates, "parse_frequency_values")
+
+
+def test_each_public_name_is_its_home_modules_object():
+    for name, module in idstates._LAZY.items():
+        home = importlib.import_module(f"idstates.{module}")
+        assert getattr(idstates, name) is getattr(home, name), name
