@@ -9,16 +9,18 @@ identity states correspond exactly to such matrices up to transpose.
 
 Enumeration builds these matrices directly. Cell (a, b) counts the
 columns with top entry a and bottom entry b. A recursion over the cells
-other than (0, 0) carries the remaining top and bottom budgets; each step
-picks the next nonzero cell and its count. Cells (1, 0) and (0, 1) come
-last and take whatever budget is left, so no branch dead-ends and every
-node is a valid matrix with sum(a * M_ab) = sum(b * M_ab) = K. The number of
-nonzero columns is at most 2K (each adds at least 1 to the 2K total of
-both rows), and M_00 = 2K - (nonzero columns) pads the catalog to I = 2K.
-Of a matrix and its transpose only the canonical one is kept.
-
-States for I < 2K are the subset whose pairs fit in I columns; for
-I > 2K the catalog is the same as at 2K with extra all-zero columns.
+other than (0, 0), largest (a, b) first, carries the remaining top and
+bottom budgets and the columns left of I; each step picks the next
+nonzero cell and its count. Cells (1, 0) and (0, 1) come last and take
+whatever budget is left, one column per unit, so every node is a matrix
+with sum(a * M_ab) = sum(b * M_ab) = K, and M_00 = I - (nonzero columns).
+A node whose columns fit in I (M_00 >= 0) is one state matrix; of it and
+its transpose only the canonical one is kept. The cells after (a, b), and
+the leftover (1, 0), put at most max(a, 1) on top per column, so c copies
+of (a, b) are placed only while the top budget left after them fits in
+the columns left after them at that rate. The column budget binds only
+below I = 2K, since each nonzero column adds at least 1 to the 2K total
+of both rows.
 
 The canonical form of M is the row-major lexicographic minimum of M and
 its transpose; catalogs are emitted sorted by that flattened form. That
@@ -196,39 +198,36 @@ def _canonical_flat(flat: tuple[int, ...], side: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _canonical_flat_keys(draw_size: int) -> tuple[tuple[int, ...], ...]:
-    """Sorted flattened canonical matrices at I = 2K (the full catalog).
-
-    Every node of the cell recursion (module docstring) is one matrix;
-    of M and its transpose only the flattening-smaller one is kept.
-    """
+def _canonical_flat_keys(draw_size: int, n_objects: int) -> tuple[tuple[int, ...], ...]:
+    """Sorted flattened canonical matrices of the catalog at I = n_objects,
+    from the cell recursion in the module docstring."""
     side = draw_size + 1
-    span = 2 * draw_size
-    # (1, 0) and (0, 1) take the leftover budgets at each node instead
-    cells = [(a, b) for a in range(side) for b in range(side) if a + b >= 2]
+    # (position, a, b, most top per column from here on)
+    cells = [(a * side + b, a, b, max(a, 1))
+             for a in range(draw_size, -1, -1) for b in range(draw_size, -1, -1)
+             if a + b >= 2]
     m = [0] * (side * side)
     keys: list[tuple[int, ...]] = []
 
-    def rec(start: int, top: int, bottom: int, used: int):
-        m[side] = top
-        m[1] = bottom
-        m[0] = span - used - top - bottom
-        flat = tuple(m)
-        if _canonical_flat(flat, side) == flat:
-            keys.append(flat)
+    def rec(start: int, top: int, bottom: int, cols: int):
+        m[0] = cols - top - bottom
+        if m[0] >= 0:
+            m[side] = top
+            m[1] = bottom
+            flat = tuple(m)
+            if _canonical_flat(flat, side) == flat:
+                keys.append(flat)
         for idx in range(start, len(cells)):
-            a, b = cells[idx]
-            if a > top or b > bottom:
-                continue
-            pos = a * side + b
+            pos, a, b, reach = cells[idx]
             count = 1
-            while count * a <= top and count * b <= bottom:
+            while (count * a <= top and count * b <= bottom
+                   and top - count * a <= (cols - count) * reach):
                 m[pos] = count
-                rec(idx + 1, top - count * a, bottom - count * b, used + count)
+                rec(idx + 1, top - count * a, bottom - count * b, cols - count)
                 count += 1
             m[pos] = 0
 
-    rec(0, draw_size, draw_size, 0)
+    rec(0, draw_size, draw_size, n_objects)
     keys.sort()
     return tuple(keys)
 
@@ -240,31 +239,27 @@ def _check_sizes(draw_size: int, objects: int):
         raise ValueError(f"object count must be >= 1, got {objects}")
 
 
-def _fitting_keys(draw_size: int, n_objects: int) -> tuple[tuple[int, ...], ...]:
-    """The sorted catalog keys at I = 2K whose 2K - flat[0] nonzero columns
-    fit in I: a suffix, the keys with flat[0] >= 2K - I."""
-    _check_sizes(draw_size, n_objects)
-    keys = _canonical_flat_keys(draw_size)
-    return keys[bisect_left(keys, (2 * draw_size - n_objects,)):]
-
-
 def enumerate_states(draw_size: int, n_objects: int) -> list[IdentityState]:
     """Full identity-state catalog for the given draw size and object count.
 
     Exactly one record per state, sorted by flattened canonical matrix.
-    For n_objects >= 2K the catalog has the same states as at 2K (padded
-    with zero columns); below 2K it is the subset fitting in n_objects
-    columns.
     """
-    pad = n_objects - 2 * draw_size
-    # M_00 = I - (nonzero columns) moves entry 0 of every sorted key by the
-    # same constant, so the keys' order is the catalog order
-    return [
-        IdentityState(StateMatrix._trusted((pad + flat[0],) + flat[1:]))
-        for flat in _fitting_keys(draw_size, n_objects)
-    ]
+    _check_sizes(draw_size, n_objects)
+    return [IdentityState(StateMatrix._trusted(flat))
+            for flat in _canonical_flat_keys(draw_size, n_objects)]
 
 
 def state_count(draw_size: int, n_objects: int) -> int:
-    """Number of identity states, without building state records."""
-    return len(_fitting_keys(draw_size, n_objects))
+    """Number of identity states, without building state records.
+
+    Counted on the keys at I = 2K, where M_00 = 2K - (nonzero columns):
+    the states that fit in I columns are the sorted suffix with
+    M_00 >= 2K - I. So one recursion per K serves every I, where a
+    recursion per (K, I) would build each key again for every I it fits
+    (4,363 keys over I = 1..12 at K = 6, against 565). A counting DP with
+    no keys (ROADMAP.md, the count grid past K = 6) would replace this.
+    """
+    _check_sizes(draw_size, n_objects)
+    span = 2 * draw_size
+    keys = _canonical_flat_keys(draw_size, span)
+    return len(keys) - bisect_left(keys, (span - n_objects,))

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import idstates.cli as cli
 from idstates import StateMatrix
 from idstates.cli import main
+from idstates.probability import brute_force_state_distribution
 from idstates.serialize import parse_state_records
 
 
@@ -207,6 +208,42 @@ def test_oracle_check_flags_one_pass_mismatch(capsys, monkeypatch):
         "FAIL\toracle reached states missing from the catalog",
         "FAIL\tstate_distribution reached states missing from the catalog",
     ]
+
+
+@pytest.mark.xfail(strict=True, reason="float oracle-check passes a state when "
+                   "|got - want| <= ROUNDING_SLACK, so a state below 1e-12 "
+                   "passes whatever its value")
+def test_float_oracle_check_flags_a_wrong_tiny_state(capsys, monkeypatch):
+    real = cli.state_distribution
+
+    def tripled(draw_size, p, q):
+        dist = real(draw_size, p, q)
+        least = min(dist, key=dist.get)  # about 1.8e-22 here
+        dist[least] *= 3
+        return dist
+
+    monkeypatch.setattr(cli, "state_distribution", tripled)
+    code, out, _ = run_cli(
+        capsys, "oracle-check", "--k", "3", "--i", "6",
+        "--p", "0.5,0.499996,0.000001,0.000001,0.000001,0.000001",
+    )
+    assert code == 2
+    assert "\tstate_distribution=" in out
+
+
+def test_probabilities_at_high_draw_size_and_two_objects(capsys):
+    # K = 16 at I = 2 lists 81 states without building the I = 2K catalog
+    p = [Fraction(1, 3), Fraction(2, 3)]
+    code, out, _ = run_cli(
+        capsys, "probabilities", "--k", "16", "--i", "2", "--p", "1/3,2/3",
+        "--force", "--format", "records",
+    )
+    assert code == 0
+    table = parse_state_records(out)
+    assert len(table.states) == 81
+    oracle = brute_force_state_distribution(16, 2, p, p, force=True)
+    assert dict(zip((s.canonical_matrix for s in table.states),
+                    table.probabilities)) == oracle
 
 
 def test_oracle_check_perturb_out_of_range(capsys):

@@ -168,6 +168,29 @@ def test_catalog_counts_match_burnside():
         _canonical_flat_keys.cache_clear()
 
 
+@pytest.mark.parametrize("k, counts", [(12, (49, 733)), (16, (81, 2022))])
+def test_small_object_counts_at_high_draw_size_match_burnside(k, counts):
+    # a biallelic and a triallelic marker at high ploidy; the I = 2K catalog
+    # at K = 16 holds 6,074,353 states, so these must not read it
+    want = burnside_state_counts(k)
+    assert (want[1], want[2]) == counts
+    for i in (2, 3):
+        assert len(enumerate_states(k, i)) == want[i - 1]
+
+
+def test_catalog_is_the_full_catalog_filtered_to_what_fits():
+    # the catalog at I is the one at I = 2K cut to the keys whose
+    # 2K - M_00 nonzero columns fit in I, with M_00 moved by I - 2K
+    for k in range(1, 9):
+        full = [s.canonical_matrix.flattened for s in enumerate_states(k, 2 * k)]
+        for i in range(1, 2 * k + 2):
+            want = [(flat[0] + i - 2 * k,) + flat[1:]
+                    for flat in full if flat[0] >= 2 * k - i]
+            got = [s.canonical_matrix.flattened for s in enumerate_states(k, i)]
+            assert got == want, (k, i)
+            assert len(got) == state_count(k, i), (k, i)
+
+
 def test_catalog_distinct_objects_match_burnside():
     # the N column of the full catalog, I = 2K, per number of objects
     for k in range(1, 10):
