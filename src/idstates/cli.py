@@ -58,7 +58,6 @@ from .serialize import (
 #: each name's home module. A handler binds them with _bind before use, so
 #: count-table and enumerate never load probability or expectation.
 _LAZY = {
-    "ROUNDING_SLACK": "probability",
     "FrequencyVector": "probability",
     "brute_force_state_distribution": "probability",
     "monte_carlo_state_distribution": "probability",
@@ -242,7 +241,6 @@ def cmd_oracle_check(args: argparse.Namespace) -> tuple[str, int]:
         bump = Fraction(1, 1000) if exact else 1e-3
         theory[args.perturb] = theory[args.perturb] + bump
     one_pass = state_distribution(args.k, p, q)
-    tolerance = 0 if exact else ROUNDING_SLACK
     lines = [
         "# closed-form state probabilities vs exhaustive oracle",
         f"# draw_size={args.k} n_objects={args.i} "
@@ -254,8 +252,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> tuple[str, int]:
     for idx, state in enumerate(states):
         want = oracle.get(state.canonical_matrix, zero)
         got = one_pass.get(state.canonical_matrix, zero)
-        closed_ok = abs(theory[idx] - want) <= tolerance
-        one_pass_ok = abs(got - want) <= tolerance
+        closed_ok = theory[idx] == want
+        one_pass_ok = got == want
         failures += not (closed_ok and one_pass_ok)
         lines.append(
             f"{idx}\t{'PASS' if closed_ok and one_pass_ok else 'FAIL'}"

@@ -28,16 +28,17 @@ orientations at full weight. Its cost is a falling factorial in I, so it
 serves as a cross-check on small inputs.
 
 Two numeric modes: exact rationals (Fraction entries; all identities hold
-bit-exactly) and floats. Every exact path, the fold, the closed form and
-the exhaustive walk, runs on the integer numerators of p and q over D_p
-and D_q (_numerators) and builds one Fraction per value at the end. Two
-oracles check both paths: an exhaustive walk over all ordered outcomes
-of each draw, which sums each pair of count vectors onto its canonical
-flattened matrix itself, sharing no code with the production merge, and
-a seeded Monte Carlo sampler, which counts the same matrix codes as
-state_distribution and ends with the same _merge_codes. The exhaustive
-walk is exact in float mode too, so float results are checked against
-the true value of the float inputs.
+bit-exactly) and floats. Both run one arithmetic (_quotient): every path,
+the fold, the closed form and the exhaustive walk, sums integer products
+of the numerators of p and q over D_p and D_q (_numerators), a float
+entry read as its exact binary value, and divides once at the end. So a
+float probability is the correctly rounded value of the exact
+probability of the float inputs, the same on every platform. Two oracles
+check both paths: an exhaustive walk over all ordered outcomes of each
+draw, which sums each pair of count vectors onto its canonical flattened
+matrix itself, sharing no code with the production merge, and a seeded
+Monte Carlo sampler, which counts the same matrix codes as
+state_distribution and ends with the same _merge_codes.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ _EXACT_TYPES = (int, Fraction)
 #: Largest I**(2K) the exhaustive oracle will attempt without force=True.
 BRUTE_FORCE_GUARD = 10**8
 
-#: Float rounding allowed on a computed probability or expectation beyond
-#: its range or its exact value.
+#: Float rounding allowed on a computed expectation beyond its range or its
+#: exact value. State probabilities need none: each is rounded once.
 ROUNDING_SLACK = 1e-12
 
 #: Rows a sampler draws and reduces at a time. Consecutive numpy draws
@@ -90,6 +91,13 @@ def _chunks(draw, n_rows: int):
 
 def _is_exact(values) -> bool:
     return all(isinstance(v, _EXACT_TYPES) for v in values)
+
+
+def _quotient(exact: bool):
+    """The one division that ends every state probability: an integer sum
+    over an integer scale, kept as a Fraction in rational mode and rounded
+    once in float mode (int / int is the correctly rounded quotient)."""
+    return Fraction if exact else operator.truediv
 
 
 class FrequencyVector(Value):
@@ -156,8 +164,7 @@ class StateProbability(Value):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        slack = 0 if isinstance(value, _EXACT_TYPES) else ROUNDING_SLACK
-        if not -slack <= value <= 1 + slack:
+        if not 0 <= value <= 1:
             raise ValueError(f"probability {value} out of [0, 1]")
         self._fill(value)
 
@@ -197,7 +204,7 @@ def _injective_pair_sum(p, q, exp1, exp2):
     """Sum over injective index tuples of both p/q orientations of the product."""
     n = len(exp1)
     slots = len(p)
-    total = 0  # 0 + x and 1 * x are exact for a float x: the ints serve both modes
+    total = 0
 
     def rec(depth, mask, fwd, rev):
         nonlocal total
@@ -234,13 +241,11 @@ def state_probability(state: IdentityState, p, q) -> StateProbability:
     k = state.representative.draw_size
     weight = multinomial(k, exp1) * multinomial(k, exp2)
     divisor = (1 + state.is_symmetric) * state.stabilizer_size
-    if not p.exact:
-        total = _injective_pair_sum(p.entries, q.entries, exp1, exp2)
-        return StateProbability(weight / divisor * total)
     # each product has K factors from p and K from q in both orientations
     (p_num, den_p), (q_num, den_q) = _numerators(p), _numerators(q)
     total = _injective_pair_sum(p_num, q_num, exp1, exp2)
-    return StateProbability(Fraction(weight * total, divisor * den_p**k * den_q**k))
+    return StateProbability(
+        _quotient(p.exact)(weight * total, divisor * den_p**k * den_q**k))
 
 
 def brute_force_state_distribution(
@@ -251,11 +256,8 @@ def brute_force_state_distribution(
     Sums each of the I^K ordered outcomes per side (a plain product of
     entry frequencies) onto its count vector, then each pair's product
     onto its canonical flattened matrix. No multinomials, no stabilizers,
-    no _merge_codes: independent of the paths it checks. Runs on the
-    integer numerators of p and q in both modes, a float entry read as
-    its exact binary value, so each value is exact: a Fraction in
-    rational mode, and in float mode the correctly rounded float of the
-    exact sum. The rational result sums to 1.
+    no _merge_codes: independent of the paths it checks. Each value ends
+    with _quotient, like theirs. The rational result sums to 1.
     """
     p, q = _frequency_pair(p, q)
     _check_sizes(draw_size, n_objects)
@@ -296,8 +298,7 @@ def brute_force_state_distribution(
             key = _canonical_flat(_pair_flat(g1, g2, side), side)
             dist[key] = dist.get(key, 0) + pr1 * pr2
     scale = den_p**draw_size * den_q**draw_size
-    # int / int is the correctly rounded quotient
-    value = Fraction if p.exact else operator.truediv
+    value = _quotient(p.exact)
     return {StateMatrix(key): value(weight, scale) for key, weight in dist.items()}
 
 
@@ -349,8 +350,7 @@ def _fold(draw_size: int, rows, moves) -> dict[int, object]:
     (a, b, step) places a column (a, b) != (0, 0) and adds step to the
     node's integer key; a (0, 0) column leaves the node as it is. Each
     layer, one per (top, bottom) budgets used, maps key to weight; returns
-    the layer at (K, K). Int rows give int weights; float rows give floats,
-    each factor multiplied as C * C * u[a] * v[b].
+    the layer at (K, K).
     """
     k = draw_size
     binom = [[math.comb(n, r) for r in range(k + 1)] for n in range(k + 1)]
@@ -376,18 +376,18 @@ def _fold(draw_size: int, rows, moves) -> dict[int, object]:
 def state_distribution(draw_size: int, p, q) -> dict[StateMatrix, object]:
     """Probability of every identity state in one pass over the objects.
 
-    Folds the objects (_fold) with rows p_i^a and q_i^b. Returns the states
-    of nonzero probability, keyed by canonical matrix with
-    M_00 = len(p) - (nonzero columns), sorted by flattened matrix. Exact,
-    summing to exactly 1, when both vectors are exact; floats otherwise.
+    Folds the objects (_fold) with rows p_i^a and q_i^b of the integer
+    numerators. Returns the states of nonzero exact probability, keyed by
+    canonical matrix with M_00 = len(p) - (nonzero columns), sorted by
+    flattened matrix, each value ended by _quotient. Exact, summing to
+    exactly 1, when both vectors are exact; floats otherwise.
     """
     p, q = _frequency_pair(p, q)
     k, n_objects = draw_size, len(p)
     _check_sizes(k, n_objects)
     side = k + 1
-    exact = p.exact
-    if exact:
-        (p, den_p), (q, den_q) = _numerators(p), _numerators(q)
+    value = _quotient(p.exact)
+    (p, den_p), (q, den_q) = _numerators(p), _numerators(q)
     # a move (a, b) adds one to the code's digit of cell a * side + b; no
     # partial count passes the finished matrix's, so the digits fit
     places = itertools.accumulate(_cell_bases(k, n_objects), operator.mul, initial=1)
@@ -396,10 +396,8 @@ def state_distribution(draw_size: int, p, q) -> dict[StateMatrix, object]:
     rows = (([pi**a for a in range(side)], [qi**b for b in range(side)])
             for pi, qi in zip(p, q))
     merged = _merge_codes(_fold(k, rows, moves), k, n_objects)
-    if not exact:
-        return merged
     scale = den_p**k * den_q**k
-    return {state: Fraction(weight, scale) for state, weight in merged.items()}
+    return {state: value(weight, scale) for state, weight in merged.items()}
 
 
 def _code_words(bases: list[int]) -> list[tuple[np.ndarray, int, int]]:

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idstates.cli as cli
-from idstates import StateMatrix
+from idstates import StateMatrix, StateProbability
 from idstates.cli import main
 from idstates.probability import brute_force_state_distribution
 from idstates.serialize import parse_state_records
@@ -210,25 +210,32 @@ def test_oracle_check_flags_one_pass_mismatch(capsys, monkeypatch):
     ]
 
 
-@pytest.mark.xfail(strict=True, reason="float oracle-check passes a state when "
-                   "|got - want| <= ROUNDING_SLACK, so a state below 1e-12 "
-                   "passes whatever its value")
-def test_float_oracle_check_flags_a_wrong_tiny_state(capsys, monkeypatch):
-    real = cli.state_distribution
+@pytest.mark.parametrize("path", ["state_distribution", "state_probability"])
+def test_float_oracle_check_flags_a_wrong_tiny_state(capsys, monkeypatch, path):
+    # three of the 21 states lie below 1e-12; float oracle-check compares
+    # each value by ==, so tripling the least likely one fails the check
+    inline = "0.5,0.499996,0.000001,0.000001,0.000001,0.000001"
+    p = [float(v) for v in inline.split(",")]
+    real_distribution, real_probability = cli.state_distribution, cli.state_probability
+    dist = real_distribution(3, p, p)
+    least = min(dist, key=dist.get)  # about 1.8e-22
 
-    def tripled(draw_size, p, q):
-        dist = real(draw_size, p, q)
-        least = min(dist, key=dist.get)  # about 1.8e-22 here
+    def tripled_distribution(draw_size, p, q):
+        dist = real_distribution(draw_size, p, q)
         dist[least] *= 3
         return dist
 
-    monkeypatch.setattr(cli, "state_distribution", tripled)
-    code, out, _ = run_cli(
-        capsys, "oracle-check", "--k", "3", "--i", "6",
-        "--p", "0.5,0.499996,0.000001,0.000001,0.000001,0.000001",
-    )
+    def tripled_probability(state, p, q):
+        value = real_probability(state, p, q).value
+        return StateProbability(3 * value if state.canonical_matrix == least else value)
+
+    monkeypatch.setattr(cli, path, {"state_distribution": tripled_distribution,
+                                    "state_probability": tripled_probability}[path])
+    code, out, _ = run_cli(capsys, "oracle-check", "--k", "3", "--i", "6", "--p", inline)
     assert code == 2
-    assert "\tstate_distribution=" in out
+    failing = [ln for ln in out.splitlines() if "\tFAIL\t" in ln]
+    assert len(failing) == 1
+    assert ("\tstate_distribution=" in failing[0]) == (path == "state_distribution")
 
 
 def test_probabilities_at_high_draw_size_and_two_objects(capsys):
@@ -377,7 +384,10 @@ def test_byte_identical_reruns(capsys):
 # SHA-256 of stdout of fixed requests, each exiting 0. A change to any
 # byte of the state tables, count grid or reports shows here; simulate and
 # prevalence are in SAMPLING_OUTPUTS because their output depends on the
-# numpy version.
+# numpy version. A float probability is the correctly rounded value of
+# the exact probability of the float inputs, so the float tables print
+# that value to 12 digits: state 48 at K=4 is 0.00078620472656250003...,
+# printed 0.000786204726563.
 RATIONAL_PQ = ["--p", "1/2,1/4,1/8,1/8", "--q", "1/10,2/5,0,1/2"]
 FLOAT_PQ = ["--p", "0.3,0.2,0.1,0.1,0.1,0.1,0.05,0.05",
             "--q", "0.125,0.125,0.125,0.125,0.2,0.1,0.2,0"]
@@ -402,7 +412,7 @@ GOLDEN_OUTPUTS = [
      "8f414cafa5bf46dd4e6145d85e479f7c639135c1bf45e1dafab1347c7a2df289"),
     ("probabilities-k4-i8-float-csv",
      ["probabilities", "--k", "4", "--i", "8", *FLOAT_PQ, "--format", "csv"],
-     "4eb9e530cd98f03e10e9303ffaddd29434b4373d197c6754000de80ff65dad2c"),
+     "7f5f53fc1265e32907345925232f5a35a1d6071cfeb6f57616cbe99ee4eef90d"),
     ("expectation-rational-records",
      ["expectation", "--p", "1/2,1/3,1/6", "--q", "1/6,1/3,1/2",
       "--format", "records"],
@@ -412,7 +422,7 @@ GOLDEN_OUTPUTS = [
      "abd7a00310a8888fb7fc5cb471fb310f8b714d7a8b6abb414786b5fd854450ee"),
     ("oracle-check-k3-i8-float",
      ["oracle-check", "--k", "3", "--i", "8", *FLOAT_PQ],
-     "f4a8b9b7ad1caeeabdfdb57a0cc11454c02d2b8ca9237b2fd6dea7d97663f0a4"),
+     "8093b54785df7d55625fc62e1a43e132ca684deb7e1b8409a054067f8235ede3"),
     ("count-table-k4-records",
      ["count-table", "--k", "4", "--format", "records"],
      "e4d843a3f3cfb1fc54c1e83092852a717cf15a32d9155d689c101cbd9faecb90"),
@@ -436,10 +446,10 @@ GOLDEN_OUTPUTS = [
      "d99f3193ac52fec7b1277ac7df72b5dcc9fb1ff177fea8fc277b6c981aa2f1a2"),
     ("probabilities-k4-i8-float-table",
      ["probabilities", "--k", "4", "--i", "8", *FLOAT_PQ],
-     "88fa7531692ebdfd168efb480930ebf26585454e06a0692857eeaee686c1f9ed"),
+     "e8462956c975057032d76995efd58e0b73234c01cef62ddd429d12df39213afc"),
     ("probabilities-k4-i8-float-records",
      ["probabilities", "--k", "4", "--i", "8", *FLOAT_PQ, "--format", "records"],
-     "38899e8b84641a7e7e7cfe41b2626b29d5065e5bd35a6d5961fc62b60fb55518"),
+     "e64c4e622c40d40607e7a357a0c3f9f73ffe43f177c3c1d20de4e0caa568b4cb"),
     ("expectation-rational-csv",
      ["expectation", "--p", "1/2,1/3,1/6", "--q", "1/6,1/3,1/2", "--format", "csv"],
      "5334597306cafdcb3e8950af0ce7f01103ae83f91199ff094bcbd1fc88fca3f0"),

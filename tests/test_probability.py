@@ -4,7 +4,6 @@ import inspect
 import itertools
 import math
 import random
-import struct
 import time
 import tracemalloc
 import typing
@@ -34,7 +33,7 @@ from idstates import (
 )
 from idstates import probability
 from idstates.probability import multinomial
-from idstates.enumeration import canonicalize, state_matrix
+from idstates.enumeration import _canonical_flat_keys, canonicalize, state_matrix
 
 from conftest import (
     canonical_key,
@@ -316,78 +315,27 @@ def test_state_probability_argument_checks():
             StateProbability(value)
 
 
-# float.hex of state_probability at K=3 I=8 on the float golden inputs of
-# tests/test_cli.py, one per state of enumerate_states(3, 8): the float
-# closed form must keep every bit.
+# The float golden inputs of tests/test_cli.py. In float mode every path
+# rounds its exact integer sum once, so each value must equal, bit for bit,
+# the exhaustive oracle's correctly rounded one on the same binary inputs.
 FLOAT_P = (0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05)
 FLOAT_Q = (0.125, 0.125, 0.125, 0.125, 0.2, 0.1, 0.2, 0.0)
-FLOAT_CLOSED_FORM_HEX = [
-    "0x1.abbee3d5fdc50p-5", "0x1.3b619da9c999ap-3", "0x1.654100e6afcb3p-3",
-    "0x1.791db445ed4afp-6", "0x1.00f7c5692b3d4p-3", "0x1.82bce8533b0ffp-4",
-    "0x1.f406a098915a7p-4", "0x1.550a0b1bbcf5dp-4", "0x1.b4f2f123c42a5p-8",
-    "0x1.a6e75ff609dd5p-5", "0x1.c95a3a083989ap-7", "0x1.3d18fc5048170p-6",
-    "0x1.22858ff759688p-6", "0x1.188eb8950763cp-5", "0x1.f46c97d8cf393p-7",
-    "0x1.9fab53d640e9cp-9", "0x1.75c39bcba3015p-9", "0x1.59b5e95b78ccbp-9",
-    "0x1.56b65a9a80495p-9", "0x1.d377e1b8ed1c2p-11", "0x1.590c0ad03d9a9p-14",
-]
 
 
 def test_float_closed_form_bits_are_pinned():
-    got = [state_probability(s, FLOAT_P, FLOAT_Q).value.hex()
-           for s in enumerate_states(3, 8)]
-    assert got == FLOAT_CLOSED_FORM_HEX
-
-
-# float.hex of state_distribution on the same inputs at K=3 and K=4 (I=8),
-# in its order (sorted by flattened matrix): the fold must keep every bit.
-FLOAT_FOLD_HEX = {
-    3: [
-        "0x1.abbee3d5fdce2p-5", "0x1.3b619da9c992ap-3", "0x1.654100e6afcd0p-3",
-        "0x1.791db445ed4a4p-6", "0x1.00f7c5692b3cep-3", "0x1.82bce8533b108p-4",
-        "0x1.f406a098915c0p-4", "0x1.550a0b1bbcf51p-4", "0x1.b4f2f123c42a8p-8",
-        "0x1.a6e75ff609dd1p-5", "0x1.c95a3a08398a7p-7", "0x1.3d18fc5048170p-6",
-        "0x1.22858ff759687p-6", "0x1.188eb8950763cp-5", "0x1.f46c97d8cf39bp-7",
-        "0x1.9fab53d640e9ep-9", "0x1.75c39bcba3015p-9", "0x1.59b5e95b78ccbp-9",
-        "0x1.56b65a9a80497p-9", "0x1.d377e1b8ed1c1p-11", "0x1.590c0ad03d9a9p-14",
-    ],
-    4: [
-        "0x1.e332d53f6215dp-11", "0x1.3074497df8538p-6", "0x1.34489316c8998p-6",
-        "0x1.cf7e1f14c330dp-8", "0x1.8a62b5d7bdc1cp-7", "0x1.6912ed02216d8p-4",
-        "0x1.9a8ccc2bbd1d5p-5", "0x1.673acddc415f1p-5", "0x1.689dddcbf891ap-5",
-        "0x1.21c9648d7345cp-9", "0x1.2b0b4a36041e1p-6", "0x1.98e7e328aecb0p-5",
-        "0x1.5d372ce7ea8aap-6", "0x1.60ffb16614064p-6", "0x1.9bea9f45ab052p-6",
-        "0x1.9250be3381e2cp-4", "0x1.21ee136e71cdcp-6", "0x1.2975725d6a946p-5",
-        "0x1.0fbf45bb20273p-4", "0x1.0ad0337edd80cp-4", "0x1.e4d494ed377bap-7",
-        "0x1.c19f7220aecc5p-10", "0x1.b548d200e9342p-6", "0x1.19364bc1747f2p-7",
-        "0x1.d96dae2e51216p-7", "0x1.35eb41570d580p-9", "0x1.3b05f790c5b5ap-8",
-        "0x1.4644bd1e5906ap-6", "0x1.3b5028b759483p-7", "0x1.29fa3895c8a9cp-7",
-        "0x1.7c7fe4265ab2dp-6", "0x1.224b0a3f74096p-5", "0x1.5763751a5e504p-7",
-        "0x1.fa97782c36951p-10", "0x1.a71578b8229bep-8", "0x1.37a17b0f6ad72p-6",
-        "0x1.19a653bc3fb6fp-6", "0x1.055da272862f7p-6", "0x1.04a466fd0f34ep-7",
-        "0x1.5b0c255249f9dp-8", "0x1.3c7ca19134c66p-9", "0x1.09268cdc9cceap-8",
-        "0x1.dceee3a2fd1acp-9", "0x1.b9c0cbb7a3f0fp-10", "0x1.01b0be4e59d54p-9",
-        "0x1.faf1830f9472cp-9", "0x1.1a402d41ac9dcp-8", "0x1.b837139283fbcp-9",
-        "0x1.9c329cb557e61p-11", "0x1.5bc07ee0b0af8p-11", "0x1.143e2b89c692cp-10",
-        "0x1.5ef8a71b37690p-9", "0x1.2945811390d69p-10", "0x1.1564bd18faa2ep-9",
-        "0x1.7f4bbbeb282cdp-10", "0x1.1fa7a6f87cd40p-9", "0x1.7fcad0f423d3cp-11",
-        "0x1.ca2b5cd00fa2ap-14", "0x1.7cba3aceddf43p-12", "0x1.706e0c4d155c9p-13",
-        "0x1.6717a15c5ba0ap-13", "0x1.63dd4a1d85772p-13", "0x1.08ceb0a7a8253p-13",
-        "0x1.b4a131e95c249p-14", "0x1.54feaa3f84247p-15", "0x1.5c8ff8dbf45d0p-19",
-    ],
-}
+    for k in (3, 4):
+        oracle = brute_force_state_distribution(k, 8, FLOAT_P, FLOAT_Q)
+        for s in enumerate_states(k, 8):
+            got = state_probability(s, FLOAT_P, FLOAT_Q).value
+            assert got.hex() == oracle.get(s.canonical_matrix, 0.0).hex(), (k, s)
 
 
 def test_float_fold_bits_are_pinned():
-    for k, pinned in FLOAT_FOLD_HEX.items():
-        got = [v.hex() for v in state_distribution(k, FLOAT_P, FLOAT_Q).values()]
-        assert got == pinned
-
-
-def _ulps(a: float, b: float) -> int:
-    """Distance of two nonnegative floats in units in the last place: the
-    difference of their IEEE bit patterns."""
-    return abs(struct.unpack("<q", struct.pack("<d", a))[0]
-               - struct.unpack("<q", struct.pack("<d", b))[0])
+    for k in (3, 4):
+        oracle = brute_force_state_distribution(k, 8, FLOAT_P, FLOAT_Q)
+        got = state_distribution(k, FLOAT_P, FLOAT_Q)
+        assert {m: v.hex() for m, v in got.items()} == {
+            m: v.hex() for m, v in oracle.items()}
 
 
 def _random_float_case(rng):
@@ -404,21 +352,40 @@ def _random_float_case(rng):
 
 
 def test_float_paths_near_the_correctly_rounded_oracle():
-    """The exhaustive oracle gives each state's correctly rounded float. The
-    fold stays within 4 ulp of it (measured: 2 at K=3, 3 at K=4, 4 on the
-    random cases) and the closed form within 1e-12 relative (measured: 145
-    ulp at K=3, 1,428 ulp or 1.7e-13 at K=4, 14 ulp on the random cases)."""
+    """The exhaustive oracle gives each state's correctly rounded float; the
+    fold and the closed form give the same float on 60 seeded random cases."""
     rng = random.Random(0)
-    cases = [(3, 8, FLOAT_P, FLOAT_Q), (4, 8, FLOAT_P, FLOAT_Q)]
-    cases += [_random_float_case(rng) for _ in range(60)]
-    for k, i, p, q in cases:
+    for k, i, p, q in (_random_float_case(rng) for _ in range(60)):
         oracle = brute_force_state_distribution(k, i, p, q)
-        fold = state_distribution(k, p, q)
+        assert state_distribution(k, p, q) == oracle, (k, p, q)
         for s in enumerate_states(k, i):
             want = oracle.get(s.canonical_matrix, 0.0)
-            assert _ulps(fold.get(s.canonical_matrix, 0.0), want) <= 4, (k, p, q)
-            closed = state_probability(s, p, q).value
-            assert abs(closed - want) <= 1e-12 * want, (k, p, q)
+            assert state_probability(s, p, q).value == want, (k, p, q)
+
+
+@st.composite
+def float_case(draw):
+    """(K, I, p, q) with K <= 3, I <= 5 and float entries, zeros allowed,
+    p = q at times."""
+    k = draw(st.integers(1, 3))
+    i = draw(st.integers(1, 5))
+    weight = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    weights = st.lists(weight, min_size=i, max_size=i).filter(any)
+    p = draw(weights)
+    q = p if draw(st.booleans()) else draw(weights)
+    return k, i, [w / sum(p) for w in p], [w / sum(q) for w in q]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(float_case())
+def test_float_paths_equal_the_oracle_bit_for_bit(case):
+    k, i, p, q = case
+    oracle = brute_force_state_distribution(k, i, p, q)
+    assert {m: v.hex() for m, v in state_distribution(k, p, q).items()} == {
+        m: v.hex() for m, v in oracle.items()}
+    for s in enumerate_states(k, i):
+        want = oracle.get(s.canonical_matrix, 0.0)
+        assert state_probability(s, p, q).value.hex() == want.hex()
 
 
 def test_state_probability_symmetric_in_populations():
@@ -953,3 +920,39 @@ def test_brute_force_matches_object_path(case, floats):
     assert [(m, v, type(v)) for m, v in got.items()] == [
         (m, v, type(v)) for m, v in want.items()]
 
+
+
+def uniform_formula(k, i):
+    """P(M) for p = q uniform over I objects, on each catalog key:
+
+        (2 - [M = M^T]) * I! / prod M_ab! * K!^2 / prod (a! b!)^M_ab / I^(2K)
+
+    with M_00 in the first product. The first two factors count the
+    labelings of the columns and the orderings of both draws; a state that
+    is not its own transpose also holds its transpose's pairs. Reaches past
+    the exhaustive oracle and shares no code with _fold."""
+    side = k + 1
+    f = math.factorial
+    out = {}
+    for flat in _canonical_flat_keys(k, i):
+        labelings = orderings = 1
+        for cell, count in enumerate(flat):
+            a, b = divmod(cell, side)
+            labelings *= f(count)
+            orderings *= (f(a) * f(b)) ** count
+        symmetric = all(flat[a * side + b] == flat[b * side + a]
+                        for a in range(side) for b in range(a))
+        out[StateMatrix(flat)] = Fraction(
+            (2 - symmetric) * (f(i) // labelings) * (f(k) ** 2 // orderings),
+            i ** (2 * k))
+    return out
+
+
+@pytest.mark.parametrize("k, i", [(3, 4), (3, 6), (4, 3), (6, 12), (8, 16)])
+def test_uniform_distribution_is_the_formula(k, i):
+    want = uniform_formula(k, i)
+    assert state_distribution(k, [Fraction(1, i)] * i, [Fraction(1, i)] * i) == want
+    if i in (4, 16):  # 1/I is exact in binary: float mode rounds the formula once
+        got = state_distribution(k, [1 / i] * i, [1 / i] * i)
+        assert {m: v.hex() for m, v in got.items()} == {
+            m: float(v).hex() for m, v in want.items()}
