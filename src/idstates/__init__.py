@@ -14,11 +14,9 @@ __version__ = "0.1.0"
 #: Each public name and the module it lives in.
 _LAZY = {
     "DissimilarityValue": "core",
-    "DrawVector": "core",
     "ExpectationReport": "expectation",
     "FrequencyVector": "probability",
     "IdentityState": "enumeration",
-    "PairMatrix": "core",
     "StateMatrix": "enumeration",
     "StateProbability": "probability",
     "brute_force_state_distribution": "probability",

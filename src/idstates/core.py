@@ -2,8 +2,13 @@
 
 An unordered draw of size K with replacement from I distinguishable objects
 is recorded as a count vector: entry i is the number of copies of object i
-in the draw, and the entries sum to K. Two draws are compared by the
-fraction of cross-pairings (one element from each draw) that mismatch:
+in the draw, and the entries sum to K. A pair of draws, the paper's
+2 x I count matrix, is held as its two rows: two count tuples of one
+length I and one size K. _draw_pair makes the checks every pair passes;
+counts must be integers, so a float count is refused, not truncated.
+
+Two draws are compared by the fraction of cross-pairings (one element
+from each draw) that mismatch:
 
     dissimilarity = 1 - <g1, g2> / K^2
 
@@ -20,7 +25,7 @@ output time.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, index, mul
 from typing import Sequence
 
 _set = object.__setattr__
@@ -80,70 +85,6 @@ class Value:
         self._fill(*state)
 
 
-class DrawVector(Value):
-    """One unordered draw: counts per object, summing to the draw size."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts):
-        counts = tuple(int(c) for c in counts)
-        if len(counts) < 1:
-            raise ValueError("a draw needs at least one object slot")
-        if any(c < 0 for c in counts):
-            raise ValueError(f"negative count in draw {counts}")
-        if sum(counts) < 1:
-            raise ValueError("draw size must be at least 1")
-        self._fill(counts)
-
-    @property
-    def draw_size(self) -> int:
-        """Number of items in the draw (the row sum)."""
-        return sum(self.counts)
-
-    @property
-    def n_objects(self) -> int:
-        """Number of object slots (the vector length)."""
-        return len(self.counts)
-
-    def __iter__(self):
-        return iter(self.counts)
-
-
-class PairMatrix(Value):
-    """Ordered pair of draws, viewed as a 2 x I nonnegative-integer matrix.
-
-    Both rows must have the same length and the same row sum.
-    """
-
-    __slots__ = ("row1", "row2")
-
-    def __init__(self, row1: DrawVector, row2: DrawVector):
-        if row1.n_objects != row2.n_objects:
-            raise ValueError(
-                f"rows cover different object counts: "
-                f"{row1.n_objects} vs {row2.n_objects}"
-            )
-        if row1.draw_size != row2.draw_size:
-            raise ValueError(
-                f"rows have different draw sizes: "
-                f"{row1.draw_size} vs {row2.draw_size}"
-            )
-        self._fill(row1, row2)
-
-    @property
-    def draw_size(self) -> int:
-        return self.row1.draw_size
-
-    @property
-    def n_objects(self) -> int:
-        return self.row1.n_objects
-
-    @property
-    def columns(self) -> tuple[tuple[int, int], ...]:
-        """The matrix columns as (top, bottom) count pairs."""
-        return tuple(zip(self.row1.counts, self.row2.counts))
-
-
 class DissimilarityValue(Value):
     """Exact dissimilarity: an integer numerator over K^2.
 
@@ -170,8 +111,45 @@ class DissimilarityValue(Value):
         return f"{self.numerator}/{self.denominator}"
 
 
-def _as_draw(g) -> DrawVector:
-    return g if isinstance(g, DrawVector) else DrawVector(tuple(g))
+def _integers(values, what: str) -> tuple[int, ...]:
+    """values as a tuple of ints. Only integral values pass (operator.index:
+    ints, bools, numpy ints); a float, string or Fraction is a ValueError,
+    never truncated."""
+    out = []
+    for v in values:
+        try:
+            out.append(index(v))
+        except TypeError:
+            raise ValueError(f"{what} must be integers, got {v!r}") from None
+    return tuple(out)
+
+
+def _draw_pair(g1, g2) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Two draws as count tuples (row1, row2) and their common size K.
+
+    Each draw needs integer counts, at least one object slot, no negative
+    count and at least one item; the two need the same length and the
+    same size. Anything else is a ValueError.
+    """
+    rows = []
+    for g in (g1, g2):
+        counts = _integers(g, "draw counts")
+        if len(counts) < 1:
+            raise ValueError("a draw needs at least one object slot")
+        if any(c < 0 for c in counts):
+            raise ValueError(f"negative count in draw {counts}")
+        if sum(counts) < 1:
+            raise ValueError("draw size must be at least 1")
+        rows.append(counts)
+    row1, row2 = rows
+    if len(row1) != len(row2):
+        raise ValueError(
+            f"rows cover different object counts: {len(row1)} vs {len(row2)}"
+        )
+    k = sum(row1)
+    if k != sum(row2):
+        raise ValueError(f"rows have different draw sizes: {k} vs {sum(row2)}")
+    return row1, row2, k
 
 
 def dissimilarity(g1, g2) -> DissimilarityValue:
@@ -181,11 +159,11 @@ def dissimilarity(g1, g2) -> DissimilarityValue:
     that the two elements are different objects. Symmetric in its
     arguments; exact.
 
-    Raises PairMatrix's ValueError if the draws differ in length or size.
+    Raises ValueError if a draw is not a count vector (_draw_pair) or the
+    draws differ in length or size.
     """
-    pair = PairMatrix(_as_draw(g1), _as_draw(g2))
-    k = pair.draw_size
-    overlap = sum(a * b for a, b in pair.columns)
+    row1, row2, k = _draw_pair(g1, g2)
+    overlap = sum(map(mul, row1, row2))
     return DissimilarityValue(k * k - overlap, k * k)
 
 

@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import compress
 from math import factorial, isqrt
 
-from .core import DissimilarityValue, DrawVector, PairMatrix, Value
+from .core import DissimilarityValue, Value, _draw_pair, _integers
 
 
 class StateMatrix(Value):
@@ -51,7 +51,7 @@ class StateMatrix(Value):
     __slots__ = ("flattened",)
 
     def __init__(self, flattened: tuple[int, ...]):
-        flat = tuple(map(int, flattened))
+        flat = _integers(flattened, "state matrix entries")
         side = isqrt(len(flat))
         if side < 2 or side * side != len(flat):
             raise ValueError("state matrix must be square with side >= 2")
@@ -95,12 +95,13 @@ class IdentityState(Value):
     enumerate_states hands in its keys, valid by construction, as
     StateMatrix._trusted.
 
-    The representative pair has its columns sorted in decreasing
-    lexicographic order by (top, bottom), which puts nonzero columns
-    first and reproduces the canonical matrix exactly (not just up to
-    transpose). The dissimilarity is 1 - sum(a * b * M_ab) / K^2,
-    n_distinct counts the nonzero columns, and the stabilizer size is the
-    product of M_ab! over the cells other than (0, 0).
+    The representative pair is two count tuples (row1, row2) whose
+    columns are sorted in decreasing lexicographic order by (top, bottom),
+    which puts nonzero columns first and reproduces the canonical matrix
+    exactly (not just up to transpose). The dissimilarity is
+    1 - sum(a * b * M_ab) / K^2, n_distinct counts the nonzero columns,
+    and the stabilizer size is the product of M_ab! over the cells other
+    than (0, 0).
 
     Three nested flags describe the relation between the two rows:
     row_equal (identical vectors) implies is_symmetric (some relabeling
@@ -146,8 +147,7 @@ class IdentityState(Value):
         k = side - 1
         self._fill(
             canonical_matrix,
-            PairMatrix._trusted(DrawVector._trusted(tuple(tops)),
-                                DrawVector._trusted(tuple(bottoms))),
+            (tuple(tops), tuple(bottoms)),
             DissimilarityValue._trusted(k * k - overlap, k * k),
             nonzero_cols,
             flat == transposed,
@@ -160,14 +160,16 @@ class IdentityState(Value):
         )
 
 
-def state_matrix(pair: PairMatrix) -> StateMatrix:
-    """Fold a pair into its column-type count matrix.
+def state_matrix(g1, g2) -> StateMatrix:
+    """Fold a pair of draws, two count vectors, into its column-type
+    count matrix.
 
-    Invariant to column permutations of the pair; swapping the rows
-    transposes the result.
+    Invariant to column permutations of the pair; swapping the draws
+    transposes the result. Raises ValueError, as dissimilarity does, for
+    a pair that is not two count vectors of one length and one size.
     """
-    side = pair.draw_size + 1
-    return StateMatrix(_pair_flat(pair.row1.counts, pair.row2.counts, side))
+    row1, row2, k = _draw_pair(g1, g2)
+    return StateMatrix(_pair_flat(row1, row2, k + 1))
 
 
 def _pair_flat(row1, row2, side: int) -> tuple[int, ...]:

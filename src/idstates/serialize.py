@@ -198,10 +198,10 @@ def _write(fmt: str, records, table, csv_rows=None) -> str:
 def _state_fields(table: StateTable, idx: int) -> dict[str, object]:
     """The one schema: state idx's fields, in order, with their typed values."""
     state = table.states[idx]
-    rep = state.representative
+    row1, row2 = state.representative
     fields = {
         "index": idx, "k": table.draw_size, "i": table.n_objects,
-        "rep_row1": rep.row1.counts, "rep_row2": rep.row2.counts,
+        "rep_row1": row1, "rep_row2": row2,
         "m": state.canonical_matrix.flattened, "d": state.dissimilarity,
         "n_distinct": state.n_distinct, "stabilizer_size": state.stabilizer_size,
         "is_symmetric": state.is_symmetric, "row_equiv": state.row_equiv,
@@ -261,8 +261,8 @@ def _parse_state_table(text: str, fmt: str) -> StateTable:
         exact = not has_prob or "probability_float" in first
         states, probs = [], []
         for rec in records:
-            states.append(IdentityState(
-                StateMatrix(rec["m"].split() if fmt == "csv" else rec["m"])))
+            cells = map(int, rec["m"].split()) if fmt == "csv" else rec["m"]
+            states.append(IdentityState(StateMatrix(cells)))
             if has_prob:
                 probs.append(parse_number(str(rec["probability"]), exact))
         table = StateTable(states, probs if has_prob else None)

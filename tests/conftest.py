@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import settings
 
-from idstates import DrawVector, PairMatrix, canonicalize, state_matrix
+from idstates import canonicalize, state_matrix
 
 # Property tests draw the same examples on every run.
 settings.register_profile("idstates", derandomize=True, deadline=None, database=None)
@@ -43,7 +43,7 @@ def random_rational_vector(rng, n_objects, force_zeros=0):
 
 def canonical_key(row1, row2):
     """Canonical state matrix of a raw pair of count vectors."""
-    return canonicalize(state_matrix(PairMatrix(DrawVector(row1), DrawVector(row2))))
+    return canonicalize(state_matrix(row1, row2))
 
 
 def find_state(states, row1, row2):
@@ -56,8 +56,9 @@ def find_state(states, row1, row2):
 
 
 def stabilizer_oracle(pair):
-    """Count column permutations (of nonzero columns) fixing the pair."""
-    cols = [c for c in pair.columns if c != (0, 0)]
+    """Count column permutations (of nonzero columns) fixing the pair
+    (row1, row2)."""
+    cols = [c for c in zip(*pair) if c != (0, 0)]
     return sum(
         1
         for perm in itertools.permutations(range(len(cols)))

@@ -1,11 +1,12 @@
-"""Draw vectors, dissimilarity, and the inner-product kernel."""
+"""Draw pairs, dissimilarity, and the inner-product kernel."""
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from idstates import DissimilarityValue, DrawVector, PairMatrix, dissimilarity, inner_product
+from idstates import DissimilarityValue, dissimilarity, inner_product, state_matrix
 
 from conftest import random_draw
 
@@ -102,24 +103,43 @@ def test_dimension_mismatch_rejected():
         dissimilarity((2, 0), (1, 0))
 
 
+# (g1, g2, the ValueError message) for draws that are not count vectors:
+# each is refused as either draw by dissimilarity and by state_matrix alike
+BAD_DRAWS = [
+    ((1, -1), (1, 0), r"negative count in draw \(1, -1\)"),
+    ((0, 0), (0, 0), "draw size must be at least 1"),
+    ((), (), "a draw needs at least one object slot"),
+    # counts are integers, never truncated
+    ((1.5, 0.5), (1, 0), "draw counts must be integers, got 1.5"),
+    ((2.0, 0), (1, 1), "draw counts must be integers, got 2.0"),
+    ((Fraction(3, 2), 0), (1, 0), r"draw counts must be integers, got Fraction\(3, 2\)"),
+    (("1", "1"), (2, 0), "draw counts must be integers, got '1'"),
+    ((np.float64(1), 0), (1, 0), "draw counts must be integers"),
+]
+
+
+def _refused(g1, g2, message):
+    for pair_function in (dissimilarity, state_matrix):
+        with pytest.raises(ValueError, match=message):
+            pair_function(g1, g2)
+
+
 def test_draw_vector_validation():
-    with pytest.raises(ValueError):
-        DrawVector((1, -1))
-    with pytest.raises(ValueError):
-        DrawVector((0, 0))
-    with pytest.raises(ValueError):
-        DrawVector(())
-    g = DrawVector((2, 1, 0))
-    assert g.draw_size == 3 and g.n_objects == 3
+    for g1, g2, message in BAD_DRAWS:
+        _refused(g1, g2, message)
+        _refused(g2, g1, message)
+    # ints, bools and numpy ints are integral counts
+    for g1, g2 in [(np.array([2, 0]), (True, True)), ((np.int8(2), 0), [1, np.uint64(1)])]:
+        assert dissimilarity(g1, g2) == dissimilarity((2, 0), (1, 1))
+        assert state_matrix(g1, g2) == state_matrix((2, 0), (1, 1))
+        assert type(state_matrix(g1, g2).flattened[0]) is int
 
 
 def test_pair_matrix_validation():
-    with pytest.raises(ValueError):
-        PairMatrix(DrawVector((2, 0)), DrawVector((1, 0)))
-    with pytest.raises(ValueError):
-        PairMatrix(DrawVector((2, 0)), DrawVector((1, 1, 0)))
-    pair = PairMatrix(DrawVector((2, 0)), DrawVector((1, 1)))
-    assert pair.columns == ((2, 1), (0, 1))
+    _refused((2, 0), (1, 0), "rows have different draw sizes: 2 vs 1")
+    _refused((2, 0), (1, 1, 0), "rows cover different object counts: 2 vs 3")
+    # columns (2, 1) and (0, 1)
+    assert state_matrix((2, 0), (1, 1)).entries == ((0, 1, 0), (0, 0, 0), (0, 1, 0))
 
 
 def test_dissimilarity_value_bounds():

@@ -4,15 +4,14 @@ import random
 from itertools import accumulate
 from operator import lt, mul
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from idstates import (
     DissimilarityValue,
-    DrawVector,
     IdentityState,
-    PairMatrix,
     StateMatrix,
     canonicalize,
     dissimilarity,
@@ -27,14 +26,10 @@ from conftest import canonical_key, compositions, random_draw, stabilizer_oracle
 
 
 def test_state_matrix_known_cases():
-    pair = PairMatrix(DrawVector((2, 0, 0, 0)), DrawVector((1, 1, 0, 0)))
-    assert state_matrix(pair).entries == ((2, 1, 0), (0, 0, 0), (0, 1, 0))
-    swapped = PairMatrix(DrawVector((1, 1, 0, 0)), DrawVector((2, 0, 0, 0)))
-    assert state_matrix(swapped) == state_matrix(pair).transpose()
-    triple = PairMatrix(
-        DrawVector((3, 0, 0, 0, 0, 0)), DrawVector((3, 0, 0, 0, 0, 0))
-    )
-    m = state_matrix(triple).entries
+    pair = (2, 0, 0, 0), (1, 1, 0, 0)
+    assert state_matrix(*pair).entries == ((2, 1, 0), (0, 0, 0), (0, 1, 0))
+    assert state_matrix(*pair[::-1]) == state_matrix(*pair).transpose()
+    m = state_matrix((3, 0, 0, 0, 0, 0), (3, 0, 0, 0, 0, 0)).entries
     assert m[0][0] == 5 and m[3][3] == 1
 
 
@@ -49,9 +44,7 @@ def test_state_matrix_column_permutation_invariant():
         rng.shuffle(perm)
         h1 = tuple(g1[j] for j in perm)
         h2 = tuple(g2[j] for j in perm)
-        assert state_matrix(
-            PairMatrix(DrawVector(g1), DrawVector(g2))
-        ) == state_matrix(PairMatrix(DrawVector(h1), DrawVector(h2)))
+        assert state_matrix(g1, g2) == state_matrix(h1, h2)
 
 
 def test_canonicalize_properties():
@@ -223,25 +216,18 @@ def test_catalog_sorted_and_self_consistent():
         flats = [s.canonical_matrix.flattened for s in states]
         assert flats == sorted(flats)
         for s in states:
-            assert s.canonical_matrix == canonicalize(
-                state_matrix(s.representative)
-            )
+            row1, row2 = s.representative
+            # the representative is the canonical matrix itself, not its transpose
+            assert s.canonical_matrix == state_matrix(row1, row2)
             # columns of the representative are sorted, zero columns last
-            cols = s.representative.columns
-            assert list(cols) == sorted(cols, reverse=True)
-            assert s.dissimilarity == dissimilarity(
-                s.representative.row1, s.representative.row2
-            )
+            cols = list(zip(row1, row2))
+            assert cols == sorted(cols, reverse=True)
+            assert s.dissimilarity == dissimilarity(row1, row2)
             assert s.n_distinct == sum(col != (0, 0) for col in cols)
             assert s.n_distinct <= min(i, 2 * k)
             assert s.stabilizer_size == stabilizer_oracle(s.representative)
-            assert s.row_equiv == (
-                sorted(s.representative.row1.counts)
-                == sorted(s.representative.row2.counts)
-            )
-            assert s.row_equal == (
-                s.representative.row1 == s.representative.row2
-            )
+            assert s.row_equiv == (sorted(row1) == sorted(row2))
+            assert s.row_equal == (row1 == row2)
             if s.row_equal:
                 assert s.row_equiv
             assert s.is_symmetric == (
@@ -275,7 +261,7 @@ def test_padding_beyond_plateau_keeps_catalog():
         s.dissimilarity.value for s in base
     )
     for s in wide:
-        assert s.representative.n_objects == 6
+        assert list(map(len, s.representative)) == [6, 6]
         assert s.canonical_matrix.entries[0][0] == 6 - s.n_distinct
 
 
@@ -284,10 +270,7 @@ def _full_matrix_set(k):
     rows = list(compositions(k, 2 * k))
     # the sorted column list fixes the matrix; fold one pair per list
     pairs = {tuple(sorted(zip(r1, r2))): (r1, r2) for r1 in rows for r2 in rows}
-    return {
-        state_matrix(PairMatrix(DrawVector(r1), DrawVector(r2)))
-        for r1, r2 in pairs.values()
-    }
+    return {state_matrix(r1, r2) for r1, r2 in pairs.values()}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -341,8 +324,7 @@ def _plain_fields(s):
     its two rows and the dissimilarity as numerator and denominator."""
     return (
         s.canonical_matrix.flattened,
-        s.representative.row1.counts,
-        s.representative.row2.counts,
+        *s.representative,
         (s.dissimilarity.numerator, s.dissimilarity.denominator),
         s.n_distinct,
         s.is_symmetric,
@@ -364,11 +346,12 @@ def test_catalog_records_match_the_validating_constructor():
                 assert got == want
                 assert list(map(type, got)) == list(map(type, want))
                 rep = s.representative
-                assert rep == PairMatrix(DrawVector(rep.row1), DrawVector(rep.row2))
+                # two tuples of ints, a pair the validating state_matrix takes
+                assert type(rep) is tuple and list(map(type, rep)) == [tuple, tuple]
+                assert {type(c) for row in rep for c in row} == {int}
+                assert state_matrix(*rep) == s.canonical_matrix
                 assert s.dissimilarity == DissimilarityValue(*got[3])
                 assert type(s) is IdentityState
-                assert type(s.representative) is PairMatrix
-                assert type(s.representative.row1) is type(s.representative.row2) is DrawVector
 
 
 def test_state_from_matrix_rejects_noncanonical():
@@ -397,8 +380,14 @@ def test_state_matrix_validation():
         StateMatrix((1,))
     with pytest.raises(ValueError, match="nonnegative"):
         StateMatrix((3, -1, 1, 0, 0, 0, 1, 0, 0))
-    m = StateMatrix([1.0, 0, 0, "1"])
+    # entries are integers, never truncated: 2.9 would read as a K=2 matrix
+    # with two (1, 1) columns
+    for flat in ((0, 0, 0, 0, 2.9, 0, 0, 0, 0), [1.0, 0, 0, 1], (1, 0, 0, "1")):
+        with pytest.raises(ValueError, match="state matrix entries must be integers"):
+            StateMatrix(flat)
+    m = StateMatrix([True, 0, np.int64(0), 1])
     assert m.flattened == (1, 0, 0, 1) and m.entries == ((1, 0), (0, 1))
+    assert set(map(type, m.flattened)) == {int}
     assert m == StateMatrix((1, 0, 0, 1)) and hash(m) == hash(StateMatrix((1, 0, 0, 1)))
 
 

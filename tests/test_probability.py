@@ -16,10 +16,8 @@ from hypothesis import strategies as st
 
 import idstates
 from idstates import (
-    DrawVector,
     FrequencyVector,
     IdentityState,
-    PairMatrix,
     StateMatrix,
     StateProbability,
     brute_force_state_distribution,
@@ -33,7 +31,12 @@ from idstates import (
 )
 from idstates import probability
 from idstates.probability import multinomial
-from idstates.enumeration import _canonical_flat_keys, canonicalize, state_matrix
+from idstates.enumeration import (
+    _canonical_flat,
+    _canonical_flat_keys,
+    canonicalize,
+    state_matrix,
+)
 
 from conftest import (
     canonical_key,
@@ -95,8 +98,8 @@ def test_stabilizer_examples():
         ((2, 1, 0), (1, 1, 1), 1),
         ((2, 0), (2, 0), 1),
     ]:
-        pair = PairMatrix(DrawVector(row1), DrawVector(row2))
-        assert state_of(row1, row2).stabilizer_size == stabilizer_oracle(pair) == size
+        pair = (row1, row2)
+        assert state_of(*pair).stabilizer_size == stabilizer_oracle(pair) == size
 
 
 def test_stabilizer_randomized_against_oracle():
@@ -106,8 +109,7 @@ def test_stabilizer_randomized_against_oracle():
         n = rng.randrange(1, 6)
         a = random_draw(rng, k, n)
         b = random_draw(rng, k, n)
-        pair = PairMatrix(DrawVector(a), DrawVector(b))
-        assert state_of(a, b).stabilizer_size == stabilizer_oracle(pair)
+        assert state_of(a, b).stabilizer_size == stabilizer_oracle((a, b))
 
 
 def test_frequency_vector_modes():
@@ -138,20 +140,21 @@ def test_frequency_vector_modes():
         FrequencyVector.uniform(0)
 
 
-def ordered_pair_probability(pair: PairMatrix, p, q):
+def ordered_pair_probability(pair, p, q):
     """Probability of drawing exactly (row1 from p, row2 from q), in order.
 
     The per-pair term of orbit_sum_oracle: two multinomial orderings times
     the frequency powers, with no stabilizer or injective sum.
     """
-    if len(p) != pair.n_objects or len(q) != pair.n_objects:
+    row1, row2 = pair
+    if len(p) != len(row1) or len(q) != len(row1):
         raise ValueError(
-            f"pair covers {pair.n_objects} objects, frequencies cover "
+            f"pair covers {len(row1)} objects, frequencies cover "
             f"{len(p)} and {len(q)}"
         )
-    k = pair.draw_size
-    out = multinomial(k, pair.row1.counts) * multinomial(k, pair.row2.counts)
-    for freq, counts in ((p, pair.row1.counts), (q, pair.row2.counts)):
+    k = sum(row1)
+    out = multinomial(k, row1) * multinomial(k, row2)
+    for freq, counts in ((p, row1), (q, row2)):
         for f, c in zip(freq, counts):
             if c:
                 out *= f**c
@@ -159,14 +162,13 @@ def ordered_pair_probability(pair: PairMatrix, p, q):
 
 
 def test_ordered_pair_probability_certain():
-    pair = PairMatrix(DrawVector((2, 0)), DrawVector((2, 0)))
-    assert ordered_pair_probability(pair, (1, 0), (1, 0)) == 1
+    assert ordered_pair_probability(((2, 0), (2, 0)), (1, 0), (1, 0)) == 1
 
 
 def test_ordered_pair_probability_against_outcome_enumeration():
     # oracle: iterate the 16 ordered outcome pairs for K=2, I=2
     p = q = (HALF, HALF)
-    pair = PairMatrix(DrawVector((1, 1)), DrawVector((2, 0)))
+    pair = (1, 1), (2, 0)
     want = Fraction(0)
     for x1 in itertools.product(range(2), repeat=2):
         for x2 in itertools.product(range(2), repeat=2):
@@ -189,15 +191,13 @@ def test_ordered_pair_probabilities_total_one():
     total = Fraction(0)
     for g1 in compositions(2, 3):
         for g2 in compositions(2, 3):
-            pair = PairMatrix(DrawVector(g1), DrawVector(g2))
-            total += ordered_pair_probability(pair, p, q)
+            total += ordered_pair_probability((g1, g2), p, q)
     assert total == 1
 
 
 def test_ordered_pair_probability_length_mismatch():
-    pair = PairMatrix(DrawVector((2, 0)), DrawVector((2, 0)))
     with pytest.raises(ValueError):
-        ordered_pair_probability(pair, (1, 0, 0), (1, 0, 0))
+        ordered_pair_probability(((2, 0), (2, 0)), (1, 0, 0), (1, 0, 0))
 
 
 def test_oracles_reject_frequencies_of_another_length():
@@ -427,16 +427,45 @@ def test_brute_force_total_and_degenerate():
 
 def test_brute_force_guard():
     p = FrequencyVector.uniform(10).entries
-    with pytest.raises(ValueError, match=r"I\^\(2K\) = 10\^10 = 10000000000 exceeds"):
+    with pytest.raises(ValueError, match=r"at K=5, I=10 takes 187368184 steps"):
         brute_force_state_distribution(5, 10, p, p)
+    # I^(2K) = 10^8 here as at (4, 10), but the walk is 150 times longer:
+    # it took 212 s when the guard counted I^(2K), and now fails at once
+    u = FrequencyVector.uniform(100)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"at K=2, I=100 takes 2781812500 steps"):
+        brute_force_state_distribution(2, 100, u, u)
+    assert time.perf_counter() - start < 1
+
+
+def test_brute_force_guard_admits_the_benchmarks_oracle_calls(monkeypatch):
+    # the walk's first step after the guard
+    class Admitted(Exception):
+        pass
+
+    def admitted(freq):
+        raise Admitted
+
+    monkeypatch.setattr(probability, "_numerators", admitted)
+    # (4, 10) and the benchmark's calls, then the largest admitted I at
+    # K = 1..5, each 9.6 s or less in CPython 3.11 on a shared 2-vCPU host
+    for k, i in [(4, 10), (3, 6), (4, 4), (3, 8), (3, 10), (4, 8),
+                 (1, 462), (2, 50), (3, 20), (4, 12), (5, 9)]:
+        u = FrequencyVector.uniform(i)
+        with pytest.raises(Admitted):
+            brute_force_state_distribution(k, i, u, u)
+    for k, i in [(1, 463), (2, 51), (3, 21), (4, 13), (5, 10)]:
+        u = FrequencyVector.uniform(i)
+        with pytest.raises(ValueError, match="over its guard"):
+            brute_force_state_distribution(k, i, u, u)
 
 
 def object_path_oracle(draw_size, n_objects, p, q):
     """The exhaustive oracle with a fold through validated objects per pair.
 
     Sums the ordered outcomes of each draw onto their count vectors, then
-    keys each pair of count vectors on conftest.canonical_key (DrawVector,
-    PairMatrix, state_matrix, canonicalize). Sums in Fractions in both
+    keys each pair of count vectors on conftest.canonical_key (the
+    validating state_matrix, then canonicalize). Sums in Fractions in both
     modes: in float mode each entry, as FrequencyVector holds it after
     renormalization, counts as its exact binary value, and each state's
     sum is rounded to a float once at the end.
@@ -466,18 +495,19 @@ def object_path_oracle(draw_size, n_objects, p, q):
 
 
 def test_brute_force_builds_one_state_matrix_per_state(monkeypatch):
-    built = {StateMatrix: 0, DrawVector: 0, PairMatrix: 0}
-    for cls in built:
-        def counting(self, *args, original=cls.__init__, cls=cls, **kwargs):
-            built[cls] += 1
-            original(self, *args, **kwargs)
+    built = {StateMatrix: 0}
+    original = StateMatrix.__init__
 
-        monkeypatch.setattr(cls, "__init__", counting)
+    def counting(self, *args, **kwargs):
+        built[StateMatrix] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(StateMatrix, "__init__", counting)
     rng = random.Random(71)
     p = random_rational_vector(rng, 4, force_zeros=1)
     q = random_rational_vector(rng, 4)
     dist = brute_force_state_distribution(3, 4, p, q)
-    assert built == {StateMatrix: len(dist), DrawVector: 0, PairMatrix: 0}
+    assert built == {StateMatrix: len(dist)}
 
 
 def test_brute_force_matches_closed_form():
@@ -496,10 +526,9 @@ def orbit_sum_oracle(draw_size, n_objects, p, q):
     dist = {}
     for g1 in compositions(draw_size, n_objects):
         for g2 in compositions(draw_size, n_objects):
-            pair = PairMatrix(DrawVector(g1), DrawVector(g2))
             key = canonical_key(g1, g2)
             dist[key] = dist.get(key, Fraction(0)) + ordered_pair_probability(
-                pair, p, q
+                (g1, g2), p, q
             )
     return dist
 
@@ -608,7 +637,7 @@ def unique_rows_reference(draw_size, n_objects, p, q, n_samples, seed):
     for row, count in zip(rows, counts):
         g1 = tuple(int(v) for v in row[:n_objects])
         g2 = tuple(int(v) for v in row[n_objects:])
-        key = canonicalize(state_matrix(PairMatrix(DrawVector(g1), DrawVector(g2))))
+        key = canonicalize(state_matrix(g1, g2))
         freq[key] = freq.get(key, Fraction(0)) + Fraction(int(count), n_samples)
     return freq
 
@@ -872,6 +901,71 @@ def test_overlap_fold_moments_are_exact(k, i):
     assert mean == 1 - pq
     assert sum(d * d * w for d, w in dist.items()) - mean**2 == (
         ((1 - 2 * k) * pq**2 + (k - 1) * mixed + pq) / k**2)
+
+
+def thinning_oracle(dist, draw_size):
+    """T: the state distribution left after one uniformly chosen item is
+    dropped from each size-K draw of dist, keyed like state_distribution.
+
+    The draws are iid with replacement, so what is left is the pair of
+    size-(K-1) draws under the same p and q: P_{K-1} = T P_K, with T fixed
+    by the matrices alone. From a matrix M, the top drop moves one object
+    from column (a, b) to (a-1, b) with weight a * M_ab / K, then the
+    bottom drop one from (a, b) to (a, b-1) with weight b * M_ab / K. Row
+    and column K are then empty and are cut off, and the result is keyed
+    on its transpose-minimal flattening. T commutes with the transpose,
+    so acting on each state's canonical matrix is exact. Shares no code
+    with the fold but _canonical_flat.
+    """
+    side = draw_size + 1
+    cut = [r * side + c for r in range(draw_size) for c in range(draw_size)]
+    out = {}
+    for state, value in dist.items():
+        m = list(state.flattened)
+        for top in range(side, side * side):  # cells with a >= 1
+            a, count = top // side, m[top]
+            if not count:
+                continue
+            m[top] -= 1
+            m[top - side] += 1
+            for bottom in range(side * side):
+                b = bottom % side
+                if not (b and m[bottom]):
+                    continue
+                weight = a * count * b * m[bottom]
+                m[bottom] -= 1
+                m[bottom - 1] += 1
+                key = _canonical_flat(tuple(m[pos] for pos in cut), draw_size)
+                out[key] = out.get(key, 0) + value * weight
+                m[bottom] += 1
+                m[bottom - 1] -= 1
+            m[top] += 1
+            m[top - side] -= 1
+    return {StateMatrix(key): out[key] / draw_size**2 for key in sorted(out)}
+
+
+def vector_with_zeros(rng, n_objects, zeros):
+    """A random rational vector whose first `zeros` entries alone are zero."""
+    while True:
+        v = random_rational_vector(rng, n_objects, force_zeros=zeros)
+        if v.count(0) == zeros:
+            return v
+
+
+def test_thinning_links_every_draw_size():
+    # exact equality along K = 10 -> 1 at I = 3 and I = 4, where the
+    # exhaustive oracle reaches only K <= 3: anchored there, each level's
+    # state_distribution is the thinning of the one above
+    rng = random.Random(97)
+    for n_objects in (3, 4):
+        # p is positive, and q is zero at one object only
+        p = vector_with_zeros(rng, n_objects, 0)
+        q = vector_with_zeros(rng, n_objects, 1)[::-1]
+        dists = {k: state_distribution(k, p, q) for k in range(1, 11)}
+        for k in (1, 2, 3):
+            assert dists[k] == brute_force_state_distribution(k, n_objects, p, q)
+        for k in range(10, 1, -1):
+            assert thinning_oracle(dists[k], k) == dists[k - 1], (n_objects, k)
 
 
 @st.composite

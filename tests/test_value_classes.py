@@ -15,11 +15,9 @@ import pytest
 
 from idstates import (
     DissimilarityValue,
-    DrawVector,
     ExpectationReport,
     FrequencyVector,
     IdentityState,
-    PairMatrix,
     StateMatrix,
     StateProbability,
     comparison_report,
@@ -32,9 +30,6 @@ Q = (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
 
 # (class, field names, a fresh instance on each call)
 VALUES = [
-    (DrawVector, ("counts",), lambda: DrawVector((2, 1, 0))),
-    (PairMatrix, ("row1", "row2"),
-     lambda: PairMatrix(DrawVector((2, 1, 0)), DrawVector((1, 1, 1)))),
     (DissimilarityValue, ("numerator", "denominator"), lambda: DissimilarityValue(5, 9)),
     (StateMatrix, ("flattened",), lambda: StateMatrix((2, 1, 0, 0, 0, 0, 0, 1, 0))),
     (IdentityState,
