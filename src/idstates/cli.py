@@ -59,6 +59,7 @@ from .serialize import (
 #: count-table and enumerate never load probability or expectation.
 _LAZY = {
     "FrequencyVector": "probability",
+    "_check_exhaustive_cost": "probability",
     "brute_force_state_distribution": "probability",
     "monte_carlo_state_distribution": "probability",
     "state_distribution": "probability",
@@ -92,6 +93,11 @@ def __getattr__(name: str):
 
 #: Largest draw size accepted without --force.
 DRAW_SIZE_GUARD = 8
+
+#: Most injective products oracle-check's closed form may sum over the
+#: catalog without --force; a product took about 6.5e-7 s (CPython 3.11,
+#: one shared vCPU core, random rational frequencies), so about 10 s.
+CLOSED_FORM_GUARD = 15 * 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,6 +144,21 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
             if args.mode is not None and args.command != "simulate":
                 raise ValueError(f"--mode {args.mode} needs --freq or --p")
     return args
+
+
+def _closed_form_products(k: int, i: int) -> int:
+    """Products the closed form sums over the catalog at (K, I).
+
+    A state with N distinct objects sums one product per injective
+    placement, I!/(I-N)! of them; the states with exactly N are
+    state_count(K, N) - state_count(K, N-1), so no catalog is built.
+    """
+    products, below = 0, 0
+    for n in range(1, min(i, 2 * k) + 1):
+        count = state_count(k, n)
+        products += (count - below) * math.perm(i, n)
+        below = count
+    return products
 
 
 def _frequencies(args: argparse.Namespace):
@@ -226,9 +247,17 @@ def cmd_oracle_check(args: argparse.Namespace) -> tuple[str, int]:
     else:
         p, q = freqs
     exact = p.exact
-    # run the oracle first so its size guard fires before the closed-form
-    # evaluation (whose injective sums grow with the same inputs)
-    oracle = brute_force_state_distribution(args.k, args.i, p, q, force=args.force)
+    if not args.force:
+        # both guards before either oracle runs, so a refusal is immediate;
+        # the oracle's own guard is then already passed
+        _check_exhaustive_cost(args.k, args.i)
+        products = _closed_form_products(args.k, args.i)
+        if products > CLOSED_FORM_GUARD:
+            raise ValueError(
+                f"the closed form at K={args.k}, I={args.i} sums {products} "
+                "products (I!/(I-N)! for each state of N distinct objects), "
+                f"over its guard ({CLOSED_FORM_GUARD}); pass --force to override")
+    oracle = brute_force_state_distribution(args.k, args.i, p, q, force=True)
     states = enumerate_states(args.k, args.i)
     if args.perturb is not None and not 0 <= args.perturb < len(states):
         raise ValueError(

@@ -249,6 +249,22 @@ def state_probability(state: IdentityState, p, q) -> StateProbability:
         _quotient(p.exact)(weight * total, divisor * den_p**k * den_q**k))
 
 
+def _check_exhaustive_cost(draw_size: int, n_objects: int) -> None:
+    """Refuse an exhaustive walk of more than BRUTE_FORCE_GUARD steps."""
+    # the walk's steps: each side's I^K ordered outcomes, K + I steps each,
+    # then every pair of its C(K+I-1, K) count vectors, an I-column matrix
+    # and a (K+1)^2-cell canonical key each
+    k, i = draw_size, n_objects
+    vectors = math.comb(k + i - 1, k)
+    cost = 2 * i**k * (k + i) + vectors**2 * (i + (k + 1) ** 2)
+    if cost > BRUTE_FORCE_GUARD:
+        raise ValueError(
+            f"the exhaustive oracle at K={k}, I={i} takes {cost} steps "
+            "(2*I^K*(K+I) + C(K+I-1,K)^2*(I+(K+1)^2)), over its guard "
+            f"({BRUTE_FORCE_GUARD}); pass force=True (the CLI's --force) "
+            "to override")
+
+
 def brute_force_state_distribution(
     draw_size: int, n_objects: int, p, q, force: bool = False
 ) -> dict[StateMatrix, object]:
@@ -265,18 +281,7 @@ def brute_force_state_distribution(
     if len(p) != n_objects:
         raise ValueError(f"frequencies cover {len(p)} objects, expected {n_objects}")
     if not force:
-        # the walk's steps: each side's I^K ordered outcomes, K + I steps
-        # each, then every pair of its C(K+I-1, K) count vectors, an I-column
-        # matrix and a (K+1)^2-cell canonical key each
-        k, i = draw_size, n_objects
-        vectors = math.comb(k + i - 1, k)
-        cost = 2 * i**k * (k + i) + vectors**2 * (i + (k + 1) ** 2)
-        if cost > BRUTE_FORCE_GUARD:
-            raise ValueError(
-                f"the exhaustive oracle at K={k}, I={i} takes {cost} steps "
-                "(2*I^K*(K+I) + C(K+I-1,K)^2*(I+(K+1)^2)), over its guard "
-                f"({BRUTE_FORCE_GUARD}); pass force=True (the CLI's --force) "
-                "to override")
+        _check_exhaustive_cost(draw_size, n_objects)
     # each side's products share the denominator D^K
     (p_num, den_p), (q_num, den_q) = _numerators(p), _numerators(q)
 

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idstates.cli as cli
-from idstates import StateMatrix, StateProbability
+from idstates import StateMatrix, StateProbability, enumerate_states
 from idstates.cli import main
 from idstates.probability import brute_force_state_distribution
 from idstates.serialize import parse_state_records
@@ -321,6 +322,35 @@ def test_oracle_guard_respected(capsys):
     code, _, err = run_cli(capsys, "oracle-check", "--k", "5", "--i", "10")
     assert code == 1 and "guard" in err
     assert "K=5, I=10 takes 187368184 steps" in err and "--force" in err
+
+
+@pytest.mark.parametrize("k, i, products", [
+    (1, 1, 1), (3, 2, 12),  # I < 2K
+    (3, 6, 4956), (4, 4, 964),  # the benchmark's oracle-check requests
+    (3, 8, 44640),  # CI's float oracle-check
+    (5, 9, 8031537),
+    (4, 12, 33323148), (3, 20, 32259360),
+])
+def test_closed_form_products_and_guard(k, i, products):
+    # counted without the catalog; the records built give the same sum
+    assert cli._closed_form_products(k, i) == products
+    assert products == sum(math.perm(i, s.n_distinct) for s in enumerate_states(k, i))
+    assert (products <= cli.CLOSED_FORM_GUARD) == ((k, i) not in {(4, 12), (3, 20)})
+
+
+def test_closed_form_guard_refuses_before_either_oracle(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("an oracle ran")
+
+    for name in ("brute_force_state_distribution", "state_probability",
+                 "state_distribution"):
+        monkeypatch.setattr(cli, name, boom)
+    code, out, err = run_cli(capsys, "oracle-check", "--k", "4", "--i", "12")
+    assert_one_error_line(code, out, err)
+    assert "K=4, I=12 sums 33323148 products" in err and "--force" in err
+    # --force skips both guards and reaches the oracle
+    with pytest.raises(AssertionError, match="an oracle ran"):
+        cli.main(["oracle-check", "--k", "4", "--i", "12", "--force"])
 
 
 def test_missing_frequency_file(capsys, tmp_path):
@@ -675,6 +705,9 @@ def test_module_entry_point_matches_main(capsys, tmp_path):
         (records, 0),
         (["enumerate", "--k", "0", "--i", "2"], 1),
         (["oracle-check", "--k", "3", "--i", "3", "--perturb", "0"], 2),
+        # seeded sampling: numpy runs on one BLAS thread in the module
+        (["simulate", "--k", "3", "--i", "6", "--samples", "20000", "--seed", "7"], 0),
+        (["prevalence", "--i", "6", "--samples", "20000", "--seed", "8"], 0),
     ]:
         code, out, err = run_cli(capsys, *argv)
         proc = run_module(argv)
@@ -684,6 +717,41 @@ def test_module_entry_point_matches_main(capsys, tmp_path):
     proc = run_module([*records, "--out", str(path)])
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
     assert path.read_bytes() == run_cli(capsys, *records)[1].encode()
+
+
+# replaces cli.main with a stub that loads numpy, then runs the entry point;
+# prints the BLAS thread setting the stub saw and the process's thread count
+RUN_PROBE = """
+import os
+import idstates.cli
+
+def stub():
+    import numpy
+    tasks = "/proc/self/task"
+    print(os.environ["OPENBLAS_NUM_THREADS"],
+          len(os.listdir(tasks)) if os.path.isdir(tasks) else "-")
+    return 0
+
+idstates.cli.main = stub
+from idstates.__main__ import run
+run()
+"""
+
+
+@pytest.mark.parametrize("given, want", [(None, "1"), ("2", "2")])
+def test_entry_point_sets_one_blas_thread_unless_given(given, want):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    proc = subprocess.run([sys.executable, "-c", RUN_PROBE], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    value, tasks = proc.stdout.split()
+    # the caller's value is kept; unset, numpy starts no BLAS worker
+    assert value == want
+    if given is None and tasks != "-":
+        assert tasks == "1"
 
 
 def test_cli_writes_no_warnings():
