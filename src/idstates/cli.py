@@ -17,7 +17,8 @@ Exit codes: 0 success; 1 bad input of any kind (usage errors such as an
 unknown command, flag or choice and a non-integer number, bad
 frequencies, a guard violation, an unwritable --out, running out of
 memory), reported as one "error: ..." line on stderr; 2 internal check
-failure (oracle mismatch). -h prints help and exits 0.
+failure (an oracle mismatch, or expectation's state sum disagreeing with
+its closed form). -h prints help and exits 0.
 
 Frequencies come from --freq (delimited file) or inline --p/--q
 (comma-separated values, decimals or "a/b"). Numeric mode is chosen
@@ -99,6 +100,13 @@ DRAW_SIZE_GUARD = 8
 #: one shared vCPU core, random rational frequencies), so about 10 s.
 CLOSED_FORM_GUARD = 15 * 10**6
 
+#: Most states x objects a catalog past the plateau (I > 2K) may hold
+#: without --force; below it DRAW_SIZE_GUARD bounds them (4,348 x 16 at
+#: K = 8). At the bound the one-pass fold took 7.8 s at K = 8 (I = 91,
+#: uniform floats; 4.0 s rational), 2.3 s at K = 4 and 1.5 s at K = 2
+#: (CPU time, CPython 3.11, 2 shared vCPUs).
+CATALOG_GUARD = 4 * 10**5
+
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors raise ValueError.
@@ -146,19 +154,17 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _closed_form_products(k: int, i: int) -> int:
-    """Products the closed form sums over the catalog at (K, I).
-
-    A state with N distinct objects sums one product per injective
-    placement, I!/(I-N)! of them; the states with exactly N are
-    state_count(K, N) - state_count(K, N-1), so no catalog is built.
-    """
-    products, below = 0, 0
-    for n in range(1, min(i, 2 * k) + 1):
-        count = state_count(k, n)
-        products += (count - below) * math.perm(i, n)
-        below = count
-    return products
+def _check_catalog_size(k: int, i: int, force: bool) -> None:
+    """Refuse a catalog past the plateau of more than CATALOG_GUARD counts."""
+    if i <= 2 * k or force:
+        return
+    # each state's record holds two rows of I counts
+    cells = state_count(k, i) * i
+    if cells > CATALOG_GUARD:
+        raise ValueError(
+            f"the catalog at K={k}, I={i} holds {cells} counts "
+            f"(states x I), over its guard ({CATALOG_GUARD}); "
+            "pass --force to override")
 
 
 def _frequencies(args: argparse.Namespace):
@@ -193,12 +199,14 @@ def _random_rational_vector(rng, n_objects: int) -> FrequencyVector:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
+    _check_catalog_size(args.k, args.i, args.force)
     table = StateTable(enumerate_states(args.k, args.i))
     return write_state_table(table, args.format), 0
 
 
 def cmd_probabilities(args: argparse.Namespace) -> tuple[str, int]:
     _bind("probability")
+    _check_catalog_size(args.k, args.i, args.force)
     p, q = _frequencies(args)
     states = enumerate_states(args.k, args.i)
     dist = state_distribution(args.k, p, q)
@@ -222,48 +230,50 @@ def cmd_expectation(args: argparse.Namespace) -> tuple[str, int]:
                          "which runs in rational mode only")
     report = comparison_report(p, q)
     fields = [(name, getattr(report, name)) for name in report.__slots__]
+    matches = True
     if exact:
         # state-weighted route must agree bit-exactly with the closed form
         k = _draw_size(2 if args.k is None else args.k, args.force)
-        via_states = expected_dissimilarity_via_states(k, p, q)
+        _check_catalog_size(k, len(p), args.force)
+        matches = expected_dissimilarity_via_states(k, p, q) == report.e_pq
         fields.append(("state_sum_draw_size", k))
-        fields.append(("state_sum_matches", via_states == report.e_pq))
-    return write_fields(fields, args.format), 0
+        fields.append(("state_sum_matches", matches))
+    return write_fields(fields, args.format), 0 if matches else 2
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> tuple[str, int]:
     _bind("probability")
     freqs = _frequencies(args)
-    if freqs is None:
-        import random
-
-        # --seed (default 0) draws the random frequencies
-        rng = random.Random(0 if args.seed is None else args.seed)
-        p = _random_rational_vector(rng, args.i)
-        q = _random_rational_vector(rng, args.i)
-    elif args.seed is not None:
+    if freqs is not None and args.seed is not None:
         raise ValueError("--seed draws random frequencies; "
                          "it has no use with --freq or --p")
-    else:
-        p, q = freqs
-    exact = p.exact
+    # every refusal before either oracle runs, the exhaustive guard first,
+    # so the oracle's own guard is then already passed
     if not args.force:
-        # both guards before either oracle runs, so a refusal is immediate;
-        # the oracle's own guard is then already passed
         _check_exhaustive_cost(args.k, args.i)
-        products = _closed_form_products(args.k, args.i)
-        if products > CLOSED_FORM_GUARD:
-            raise ValueError(
-                f"the closed form at K={args.k}, I={args.i} sums {products} "
-                "products (I!/(I-N)! for each state of N distinct objects), "
-                f"over its guard ({CLOSED_FORM_GUARD}); pass --force to override")
-    oracle = brute_force_state_distribution(args.k, args.i, p, q, force=True)
     states = enumerate_states(args.k, args.i)
+    # a state of N distinct objects sums I!/(I-N)! injective products
+    products = sum(math.perm(args.i, s.n_distinct) for s in states)
+    if products > CLOSED_FORM_GUARD and not args.force:
+        raise ValueError(
+            f"the closed form at K={args.k}, I={args.i} sums {products} "
+            "products (I!/(I-N)! for each state of N distinct objects), "
+            f"over its guard ({CLOSED_FORM_GUARD}); pass --force to override")
     if args.perturb is not None and not 0 <= args.perturb < len(states):
         raise ValueError(
             f"--perturb {args.perturb} is outside the "
             f"{len(states)} states (0..{len(states) - 1})"
         )
+    if freqs is None:
+        import random
+
+        # --seed (default 0) draws the random frequencies
+        rng = random.Random(0 if args.seed is None else args.seed)
+        freqs = (_random_rational_vector(rng, args.i),
+                 _random_rational_vector(rng, args.i))
+    p, q = freqs
+    exact = p.exact
+    oracle = brute_force_state_distribution(args.k, args.i, p, q, force=True)
     theory = [state_probability(s, p, q).value for s in states]
     if args.perturb is not None:
         # test hook: corrupt one closed-form value to prove mismatches surface
@@ -303,14 +313,16 @@ def cmd_oracle_check(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[str, int]:
     _bind("probability")
+    _check_catalog_size(args.k, args.i, args.force)
     # uniform p = q by default, rational unless --mode float
     p, q = _frequencies(args) or (
         FrequencyVector.uniform(args.i, exact=args.mode != "float"),) * 2
-    states = enumerate_states(args.k, args.i)
-    dist = state_distribution(args.k, p, q)
+    # the sampler checks --samples at its top, before the catalog and the fold
     empirical = monte_carlo_state_distribution(
         args.k, p, q, n_samples=args.samples, seed=args.seed
     )
+    states = enumerate_states(args.k, args.i)
+    dist = state_distribution(args.k, p, q)
     lines = [
         "# Monte Carlo state frequencies vs closed form",
         f"# draw_size={args.k} n_objects={args.i} "
@@ -446,7 +458,3 @@ def main(argv=None) -> int:
     if args.out is None:
         sys.stdout.write(output)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

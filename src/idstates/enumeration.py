@@ -202,7 +202,16 @@ def _canonical_flat(flat: tuple[int, ...], side: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _canonical_flat_keys(draw_size: int, n_objects: int) -> tuple[tuple[int, ...], ...]:
     """Sorted flattened canonical matrices of the catalog at I = n_objects,
-    from the cell recursion in the module docstring."""
+    from the cell recursion in the module docstring.
+
+    Past I = 2K the column budget never binds, so the keys are those at
+    I = 2K with M_00 grown by I - 2K, in the same order.
+    """
+    span = 2 * draw_size
+    if n_objects > span:
+        grow = n_objects - span
+        return tuple((flat[0] + grow, *flat[1:])
+                     for flat in _canonical_flat_keys(draw_size, span))
     side = draw_size + 1
     # (position, a, b, most top per column from here on)
     cells = [(a * side + b, a, b, max(a, 1))

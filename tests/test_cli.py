@@ -137,6 +137,17 @@ def test_expectation_rational_crosscheck(capsys):
     assert report["state_sum_draw_size"] == 3
 
 
+def test_expectation_state_sum_mismatch_exits_two(capsys, monkeypatch):
+    via_states = cli.expected_dissimilarity_via_states
+    monkeypatch.setattr(cli, "expected_dissimilarity_via_states",
+                        lambda k, p, q: via_states(k, p, q) + Fraction(1, 1000))
+    code, out, err = run_cli(capsys, "expectation", "--p", "4/5,1/5",
+                             "--q", "9/10,1/10", "--k", "3")
+    # the report is still printed in full
+    assert (code, err) == (2, "")
+    assert out.splitlines()[-1].split() == ["state_sum_matches", "no"]
+
+
 def test_expectation_uniform_inline(capsys):
     code, out, _ = run_cli(
         capsys, "expectation", "--p", "1/4,1/4,1/4,1/4", "--format", "records"
@@ -254,16 +265,21 @@ def test_probabilities_at_high_draw_size_and_two_objects(capsys):
                     table.probabilities)) == oracle
 
 
-def test_oracle_check_perturb_out_of_range(capsys):
-    # K=2, I=3 has 6 states: valid indices are 0..5
-    for index in ("99", "6", "-1"):
-        code, out, err = run_cli(
-            capsys, "oracle-check", "--k", "2", "--i", "3",
-            "--p", "1/3,1/3,1/3", "--perturb", index,
-        )
-        assert code == 1 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+def test_oracle_check_perturb_out_of_range(capsys, monkeypatch):
+    # the range is checked before either oracle runs
+    def boom(*args, **kwargs):
+        raise AssertionError("an oracle ran")
+
+    for name in ("brute_force_state_distribution", "state_probability",
+                 "state_distribution"):
+        monkeypatch.setattr(cli, name, boom)
+    # K=2, I=3 has 6 states: valid indices are 0..5; K=5, I=9 has 191
+    for k, i, index, states in [("2", "3", "99", 6), ("2", "3", "6", 6),
+                                ("2", "3", "-1", 6), ("5", "9", "100000", 191)]:
+        code, out, err = run_cli(capsys, "oracle-check", "--k", k, "--i", i,
+                                 "--perturb", index)
+        assert_one_error_line(code, out, err)
+        assert f"--perturb {index} is outside the {states} states" in err
 
 
 def test_simulate_runs(capsys):
@@ -331,11 +347,23 @@ def test_oracle_guard_respected(capsys):
     (5, 9, 8031537),
     (4, 12, 33323148), (3, 20, 32259360),
 ])
-def test_closed_form_products_and_guard(k, i, products):
-    # counted without the catalog; the records built give the same sum
-    assert cli._closed_form_products(k, i) == products
+def test_closed_form_products_and_guard(capsys, monkeypatch, k, i, products):
+    # a state of N distinct objects sums I!/(I-N)! products; oracle-check
+    # prices its guard over the catalog it checks
     assert products == sum(math.perm(i, s.n_distinct) for s in enumerate_states(k, i))
-    assert (products <= cli.CLOSED_FORM_GUARD) == ((k, i) not in {(4, 12), (3, 20)})
+
+    def stop(*args, **kwargs):
+        raise AssertionError("past the guards")
+
+    monkeypatch.setattr(cli, "brute_force_state_distribution", stop)
+    argv = ["oracle-check", "--k", str(k), "--i", str(i)]
+    if (k, i) in {(4, 12), (3, 20)}:
+        code, out, err = run_cli(capsys, *argv)
+        assert_one_error_line(code, out, err)
+        assert f"K={k}, I={i} sums {products} products" in err
+    else:
+        with pytest.raises(AssertionError, match="past the guards"):
+            main(argv)
 
 
 def test_closed_form_guard_refuses_before_either_oracle(capsys, monkeypatch):
@@ -351,6 +379,67 @@ def test_closed_form_guard_refuses_before_either_oracle(capsys, monkeypatch):
     # --force skips both guards and reaches the oracle
     with pytest.raises(AssertionError, match="an oracle ran"):
         cli.main(["oracle-check", "--k", "4", "--i", "12", "--force"])
+
+
+def _refuse_catalog_work(monkeypatch):
+    """Patch every catalog, fold and sampler the handlers call to raise."""
+    def boom(*args, **kwargs):
+        raise AssertionError("catalog work ran")
+
+    for name in ("enumerate_states", "state_distribution",
+                 "expected_dissimilarity_via_states",
+                 "monte_carlo_state_distribution"):
+        monkeypatch.setattr(cli, name, boom)
+
+
+UNIFORM_92 = ",".join(["1/92"] * 92)
+
+
+@pytest.mark.parametrize("argv, counts", [
+    (["enumerate", "--k", "1", "--i", "100000000000000000000"],
+     "K=1, I=100000000000000000000 holds 200000000000000000000 counts"),
+    # 4,348 states x 92 objects, the first I past the guard at K = 8
+    (["enumerate", "--k", "8", "--i", "92"], "K=8, I=92 holds 400016 counts"),
+    (["probabilities", "--k", "8", "--i", "92", "--p", UNIFORM_92],
+     "K=8, I=92 holds 400016 counts"),
+    (["expectation", "--k", "8", "--p", UNIFORM_92],
+     "K=8, I=92 holds 400016 counts"),
+    (["simulate", "--k", "8", "--i", "10000", "--samples", "10"],
+     "K=8, I=10000 holds 43480000 counts"),
+], ids=["enumerate-1e20", "enumerate", "probabilities", "expectation", "simulate"])
+def test_catalog_guard_refuses_past_the_plateau(capsys, monkeypatch, argv, counts):
+    _refuse_catalog_work(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert counts in err and "over its guard (400000)" in err and "--force" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # 4,348 x 91 = 395,668 counts, within the guard
+    ["enumerate", "--k", "8", "--i", "91"],
+    ["expectation", "--k", "8", "--p", ",".join(["1/91"] * 91)],
+    # --force skips the guard; below the plateau it is never read
+    ["enumerate", "--k", "8", "--i", "92", "--force"],
+    ["simulate", "--k", "1", "--i", "400001", "--samples", "10", "--mode", "float",
+     "--force"],
+    ["enumerate", "--k", "16", "--i", "2", "--force"],
+])
+def test_catalog_guard_admits(monkeypatch, argv):
+    _refuse_catalog_work(monkeypatch)
+    with pytest.raises(AssertionError, match="catalog work ran"):
+        main(argv)
+
+
+def test_simulate_checks_samples_before_the_fold(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("the catalog or the fold ran")
+
+    monkeypatch.setattr(cli, "enumerate_states", boom)
+    monkeypatch.setattr(cli, "state_distribution", boom)
+    code, out, err = run_cli(capsys, "simulate", "--k", "8", "--i", "16",
+                             "--samples", "0")
+    assert_one_error_line(code, out, err)
+    assert "need at least one sample, got 0" in err
 
 
 def test_missing_frequency_file(capsys, tmp_path):

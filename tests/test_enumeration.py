@@ -304,7 +304,7 @@ def test_group_action_invariance_randomized():
 
 def test_catalog_classifies_every_pair():
     # every raw pair lands on exactly one catalog state
-    for k, i in [(2, 3), (3, 4)]:
+    for k, i in [(2, 3), (3, 4), (2, 5), (3, 7)]:
         states = enumerate_states(k, i)
         keys = {s.canonical_matrix for s in states}
         draws = list(compositions(k, i))
